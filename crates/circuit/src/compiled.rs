@@ -34,16 +34,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::activity::{ActivityReport, NodeActivity};
 use crate::error::CircuitError;
 use crate::faults::{
-    golden_cache_content, CampaignOptions, FaultOutcome, FaultReport, FaultTarget, GateFault,
-    ResilientCampaign,
+    cached_golden_trace, check_stimulus, expand_stimulus, flush_campaign_counters, CampaignOptions,
+    FaultOutcome, FaultReport, FaultTarget, GateFault, ResilientCampaign,
 };
 use crate::logic::Bit;
 use crate::netlist::{GateKind, Netlist, NodeId};
 use crate::stimulus::PatternSource;
-use lowvolt_exec::{
-    parallel_map_isolated, run_checkpointed, CacheKey, CancelToken, ExecError, ExecPolicy,
-    ItemStatus,
-};
+use lowvolt_exec::{run_checkpointed, ExecError, ExecPolicy, ItemStatus};
 use lowvolt_obs::{names, span, Recorder};
 
 /// One node's 64 packed lanes: `(val, known)`. Encoding is canonical
@@ -1259,18 +1256,7 @@ pub fn run_campaign_packed(
     vectors: usize,
     options: CampaignOptions<'_>,
 ) -> Result<ResilientCampaign, CircuitError> {
-    if vectors == 0 {
-        return Err(CircuitError::InvalidStimulus {
-            reason: "campaign needs at least one vector",
-        });
-    }
-    if stimulus.width() != target.inputs.len() {
-        return Err(CircuitError::WidthMismatch {
-            what: "fault campaign stimulus",
-            expected: target.inputs.len(),
-            got: stimulus.width(),
-        });
-    }
+    check_stimulus(target, stimulus, vectors)?;
     let comp = CompiledNetlist::compile(&target.netlist)?;
     comp.validate_campaign(
         target,
@@ -1282,7 +1268,7 @@ pub fn run_campaign_packed(
         checkpoint,
     } = options;
     let timer = span(rec, names::SPAN_CAMPAIGN_RUN);
-    let vecs: Vec<Vec<Bit>> = (0..vectors).map(|_| stimulus.next_pattern()).collect();
+    let vecs = expand_stimulus(stimulus, vectors);
     let mut warnings = Vec::new();
     let mut golden_from_cache = false;
     let n_words = vectors.div_ceil(64);
@@ -1296,52 +1282,25 @@ pub fn run_campaign_packed(
                 gw
             })
             .collect();
-        // Mirror the event engine's golden-trace cache protocol so the
-        // two engines interoperate on the same cache directory: the key
-        // is engine-independent and the stored trace is the derived
-        // golden output trace, which the differential contract makes
-        // identical to an event-simulated one. Classification always
-        // runs against the freshly computed planes.
-        if let Some((c, seed)) = cache {
-            let key = CacheKey {
-                content: golden_cache_content(target, &vecs),
-                seed,
+        // Share the event engine's golden-trace cache protocol; the
+        // stored trace is the one derived from these planes, which the
+        // differential contract makes identical to an event-simulated
+        // one. Classification always runs against the fresh planes.
+        if let Some(c) = cache {
+            let derived = || {
+                Ok((0..vectors)
+                    .map(|t| {
+                        let gw = &words[t / 64];
+                        target
+                            .outputs
+                            .iter()
+                            .map(|n| lane_bit(gw.fin.get_or_x(n.index()), t % 64))
+                            .collect()
+                    })
+                    .collect())
             };
-            let cached =
-                c.load(key, rec)
-                    .and_then(|bytes| match crate::persist::decode_trace(&bytes) {
-                        Some(trace)
-                            if trace.len() == vectors
-                                && trace.iter().all(|row| row.len() == target.outputs.len()) =>
-                        {
-                            Some(trace)
-                        }
-                        _ => {
-                            warnings.push(format!(
-                            "golden-trace cache entry {} decoded to the wrong shape; recomputing",
-                            key.file_name()
-                        ));
-                            None
-                        }
-                    });
-            match cached {
-                Some(_) => golden_from_cache = true,
-                None => {
-                    let trace: Vec<Vec<Bit>> = (0..vectors)
-                        .map(|t| {
-                            let gw = &words[t / 64];
-                            target
-                                .outputs
-                                .iter()
-                                .map(|n| lane_bit(gw.fin.get_or_x(n.index()), t % 64))
-                                .collect()
-                        })
-                        .collect();
-                    if let Err(e) = c.store(key, &crate::persist::encode_trace(&trace)) {
-                        warnings.push(format!("golden-trace cache store failed: {e}"));
-                    }
-                }
-            }
+            golden_from_cache =
+                cached_golden_trace(c, rec, target, &vecs, &mut warnings, derived)?.1;
         }
         words
     };
@@ -1349,61 +1308,41 @@ pub fn run_campaign_packed(
     let dropouts = AtomicU64::new(0);
     let words_done = AtomicU64::new(0);
     let lanes_done = AtomicU64::new(0);
-    let class_word = |w: usize, token: &CancelToken| -> ItemStatus<Vec<u8>> {
-        let gw = &golden_words[w];
-        let mut sa = gw.a.as_ref().map(|ga| Scratch::new(&comp, ga));
-        let mut sb = Scratch::new(&comp, &gw.fin);
-        let mut classes = Vec::with_capacity(faults.len());
-        let mut evals = 0u64;
-        let mut drops = 0u64;
-        for f in faults {
-            if token.is_cancelled() {
-                return ItemStatus::TimedOut;
+    let word_items: Vec<usize> = (0..n_words).collect();
+    let out = run_checkpointed(
+        policy,
+        &fault,
+        rec,
+        &word_items,
+        checkpoint,
+        |c: &Vec<u8>| crate::persist::encode_word_classes(c),
+        |bytes| crate::persist::decode_word_classes(bytes).filter(|c| c.len() == faults.len()),
+        |_, &w, token| {
+            let gw = &golden_words[w];
+            let mut sa = gw.a.as_ref().map(|ga| Scratch::new(&comp, ga));
+            let mut sb = Scratch::new(&comp, &gw.fin);
+            let mut classes = Vec::with_capacity(faults.len());
+            let mut evals = 0u64;
+            let mut drops = 0u64;
+            for f in faults {
+                if token.is_cancelled() {
+                    return ItemStatus::TimedOut;
+                }
+                let (class, e, d) = comp.fault_word_class(target, gw, &mut sa, &mut sb, f);
+                classes.push(class);
+                evals += e;
+                drops += u64::from(d);
             }
-            let (class, e, d) = comp.fault_word_class(target, gw, &mut sa, &mut sb, f);
-            classes.push(class);
-            evals += e;
-            drops += u64::from(d);
-        }
-        gate_evals.fetch_add(evals, Ordering::Relaxed);
-        dropouts.fetch_add(drops, Ordering::Relaxed);
-        words_done.fetch_add(1, Ordering::Relaxed);
-        lanes_done.fetch_add(gw.lanes as u64, Ordering::Relaxed);
-        ItemStatus::Done(classes)
-    };
-    let word_items: Vec<u64> = (0..n_words as u64).collect();
-    let (slots, replayed, computed, skipped) = match checkpoint {
-        Some(spec) => {
-            let out = run_checkpointed(
-                policy,
-                &fault,
-                rec,
-                &word_items,
-                spec,
-                |c: &Vec<u8>| crate::persist::encode_word_classes(c),
-                |bytes| {
-                    crate::persist::decode_word_classes(bytes).filter(|c| c.len() == faults.len())
-                },
-                |_, w, token| class_word(*w as usize, token),
-            );
-            warnings.extend(out.warnings);
-            (out.results, out.replayed, out.computed, out.skipped)
-        }
-        None => {
-            let res = parallel_map_isolated(policy, &fault, rec, &word_items, |_, w, token| {
-                class_word(*w as usize, token)
-            });
-            let computed = res.len();
-            (
-                res.into_iter().map(Some).collect::<Vec<_>>(),
-                0,
-                computed,
-                0,
-            )
-        }
-    };
+            gate_evals.fetch_add(evals, Ordering::Relaxed);
+            dropouts.fetch_add(drops, Ordering::Relaxed);
+            words_done.fetch_add(1, Ordering::Relaxed);
+            lanes_done.fetch_add(gw.lanes as u64, Ordering::Relaxed);
+            ItemStatus::Done(classes)
+        },
+    );
     drop(timer);
-    let resolved: Option<Vec<Result<Vec<u8>, ExecError>>> = slots.into_iter().collect();
+    warnings.extend(out.warnings);
+    let resolved: Option<Vec<Result<Vec<u8>, ExecError>>> = out.results.into_iter().collect();
     let reports: Vec<Option<FaultReport>> = match resolved {
         // An interrupted run has whole words outstanding, and every fault
         // needs every word — no fault slot is resolvable yet.
@@ -1467,27 +1406,12 @@ pub fn run_campaign_packed(
             }
         }
     };
+    flush_campaign_counters(
+        rec,
+        &reports,
+        lanes_done.load(Ordering::Relaxed) * faults.len() as u64,
+    );
     if rec.is_enabled() {
-        let count = |label: &str| {
-            reports
-                .iter()
-                .flatten()
-                .filter(|r| r.outcome.label() == label)
-                .count() as u64
-        };
-        rec.add(names::CAMPAIGN_TARGETS, 1);
-        rec.add(
-            names::CAMPAIGN_INJECTIONS,
-            reports.iter().flatten().count() as u64,
-        );
-        rec.add(
-            names::CAMPAIGN_VECTORS,
-            lanes_done.load(Ordering::Relaxed) * faults.len() as u64,
-        );
-        rec.add(names::CAMPAIGN_DETECTED, count("detected"));
-        rec.add(names::CAMPAIGN_CORRUPTED, count("corrupted"));
-        rec.add(names::CAMPAIGN_PROPAGATED_X, count("propagated-as-X"));
-        rec.add(names::CAMPAIGN_MASKED, count("masked"));
         rec.add(names::COMPILED_WORDS, words_done.load(Ordering::Relaxed));
         rec.add(
             names::COMPILED_GATE_EVALS,
@@ -1502,9 +1426,9 @@ pub fn run_campaign_packed(
         target: target.name.clone(),
         vectors,
         reports,
-        replayed,
-        computed,
-        skipped,
+        replayed: out.replayed,
+        computed: out.computed,
+        skipped: out.skipped,
         golden_from_cache,
         warnings,
     })
@@ -1513,7 +1437,7 @@ pub fn run_campaign_packed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{run_campaign_with, standard_targets};
+    use crate::faults::{run_campaign_resilient, standard_targets};
     use crate::sim::Simulator;
 
     fn packed_outcomes(
@@ -1546,8 +1470,18 @@ mod tests {
         seed: u64,
     ) -> Vec<FaultOutcome> {
         let mut src = PatternSource::random(target.inputs.len(), seed).unwrap();
-        let report =
-            run_campaign_with(&ExecPolicy::serial(), target, faults, &mut src, vectors).unwrap();
+        let report = run_campaign_resilient(
+            &ExecPolicy::serial(),
+            lowvolt_obs::noop(),
+            target,
+            faults,
+            &mut src,
+            vectors,
+            CampaignOptions::default(),
+        )
+        .unwrap()
+        .report()
+        .unwrap();
         report.reports.into_iter().map(|r| r.outcome).collect()
     }
 

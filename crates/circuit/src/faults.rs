@@ -21,8 +21,8 @@ use crate::sim::Simulator;
 use crate::stimulus::PatternSource;
 use crate::switchlevel::{SwNodeId, SwitchNetlist, SwitchSim};
 use lowvolt_exec::{
-    fnv64, parallel_map_isolated, parallel_map_recorded, run_checkpointed, ByteCache, CacheKey,
-    CancelToken, CheckpointSpec, ExecError, ExecPolicy, FaultPolicy, ItemStatus,
+    fnv64, run_checkpointed, ByteCache, CacheKey, CancelToken, CheckpointSpec, ExecError,
+    ExecPolicy, FaultPolicy, ItemStatus,
 };
 use lowvolt_obs::{names, span, Recorder};
 
@@ -116,9 +116,7 @@ pub enum FaultOutcome {
     Masked,
     /// The injection's simulation itself failed at the execution layer —
     /// it panicked on every attempt or exhausted its per-item deadline —
-    /// so no classification exists. Only the resilient runner produces
-    /// this; the classic runner would have aborted (panic) or waited
-    /// forever instead.
+    /// so no classification exists.
     Errored(ExecError),
 }
 
@@ -251,8 +249,7 @@ impl CampaignReport {
     }
 
     /// Injections whose simulation failed at the execution layer
-    /// (panicked every attempt or timed out); zero outside the
-    /// resilient runner.
+    /// (panicked every attempt or timed out).
     #[must_use]
     pub fn errored(&self) -> usize {
         self.count("errored")
@@ -435,128 +432,6 @@ fn classify(golden: &[Vec<Bit>], faulty: &[Vec<Bit>]) -> FaultOutcome {
     }
 }
 
-/// Sweeps `faults` over `target`, applying the same `vectors`-long
-/// stimulus to a golden run and to every injection, and classifies each
-/// outcome.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::InvalidStimulus`] if `vectors` is zero,
-/// [`CircuitError::WidthMismatch`] if the stimulus width mismatches the
-/// target's input count, or any error from the *golden* run — a golden
-/// run that fails means the target, not the fault, is broken. Errors
-/// during faulted runs are classifications
-/// ([`FaultOutcome::Detected`]), not campaign failures.
-pub fn run_campaign(
-    target: &FaultTarget,
-    faults: &[GateFault],
-    stimulus: &mut PatternSource,
-    vectors: usize,
-) -> Result<CampaignReport, CircuitError> {
-    run_campaign_with(&ExecPolicy::serial(), target, faults, stimulus, vectors)
-}
-
-/// [`run_campaign`] with an explicit execution policy: injections are
-/// partitioned over the policy's worker threads, one fresh simulator per
-/// injection as in the serial path. The stimulus is expanded and the
-/// golden run executed up front on the calling thread, so the report is
-/// **bit-identical** to the serial campaign for any thread count — the
-/// per-fault results land at their fault's index regardless of which
-/// worker classified them.
-///
-/// # Errors
-///
-/// Exactly the serial [`run_campaign`] contract: stimulus validation
-/// errors or a failing *golden* run abort the campaign; faulted-run
-/// errors are [`FaultOutcome::Detected`] classifications.
-pub fn run_campaign_with(
-    policy: &ExecPolicy,
-    target: &FaultTarget,
-    faults: &[GateFault],
-    stimulus: &mut PatternSource,
-    vectors: usize,
-) -> Result<CampaignReport, CircuitError> {
-    run_campaign_recorded(
-        policy,
-        lowvolt_obs::noop(),
-        target,
-        faults,
-        stimulus,
-        vectors,
-    )
-}
-
-/// [`run_campaign_with`] with campaign metrics flushed to `rec`: the
-/// `campaign.*` counters (injections, vector applications, one count per
-/// outcome class), a `campaign.run` span with a `.golden` child, the
-/// execution engine's `exec.*` chunk/region metrics, and — because every
-/// per-injection simulator carries the recorder — the aggregate `sim.*`
-/// counters across all faulted runs. Every counter except `exec.chunks`
-/// is identical for any thread count: the per-settle deltas are fixed by
-/// the deterministic simulation and atomic addition commutes.
-///
-/// # Errors
-///
-/// Exactly the [`run_campaign`] contract.
-pub fn run_campaign_recorded(
-    policy: &ExecPolicy,
-    rec: &dyn Recorder,
-    target: &FaultTarget,
-    faults: &[GateFault],
-    stimulus: &mut PatternSource,
-    vectors: usize,
-) -> Result<CampaignReport, CircuitError> {
-    if vectors == 0 {
-        return Err(CircuitError::InvalidStimulus {
-            reason: "campaign needs at least one vector",
-        });
-    }
-    if stimulus.width() != target.inputs.len() {
-        return Err(CircuitError::WidthMismatch {
-            what: "fault campaign stimulus",
-            expected: target.inputs.len(),
-            got: stimulus.width(),
-        });
-    }
-    let timer = span(rec, names::SPAN_CAMPAIGN_RUN);
-    let vecs: Vec<Vec<Bit>> = (0..vectors).map(|_| stimulus.next_pattern()).collect();
-    // The golden run also warms the netlist's CSR fanout index, so the
-    // workers share the prebuilt adjacency read-only.
-    let golden = {
-        let _golden_timer = timer.child("golden");
-        run_trace(target, &vecs, None, rec, CancelToken::never())?
-    };
-    let reports = parallel_map_recorded(policy, rec, faults, |_, fault| {
-        let outcome = match run_trace(target, &vecs, Some(fault), rec, CancelToken::never()) {
-            Ok(trace) => classify(&golden, &trace),
-            Err(err) => FaultOutcome::Detected(err),
-        };
-        FaultReport {
-            fault: fault.clone(),
-            outcome,
-        }
-    });
-    drop(timer);
-    let report = CampaignReport {
-        target: target.name.clone(),
-        vectors,
-        reports,
-    };
-    if rec.is_enabled() {
-        rec.add(names::CAMPAIGN_TARGETS, 1);
-        rec.add(names::CAMPAIGN_INJECTIONS, faults.len() as u64);
-        rec.add(names::CAMPAIGN_VECTORS, (vectors * faults.len()) as u64);
-        rec.add(names::CAMPAIGN_DETECTED, report.detected() as u64);
-        rec.add(names::CAMPAIGN_CORRUPTED, report.corrupted() as u64);
-        rec.add(
-            names::CAMPAIGN_PROPAGATED_X,
-            report.propagated_as_x() as u64,
-        );
-        rec.add(names::CAMPAIGN_MASKED, report.masked() as u64);
-    }
-    Ok(report)
-}
-
 /// Options steering the fault-tolerant campaign runner
 /// [`run_campaign_resilient`]: per-injection retry/deadline policy,
 /// an optional golden-trace cache, and optional checkpoint-journal
@@ -607,7 +482,7 @@ impl ResilientCampaign {
         self.skipped > 0
     }
 
-    /// The completed run as a classic [`CampaignReport`]; `None` while
+    /// The completed run as a [`CampaignReport`]; `None` while
     /// any injection is still unexecuted.
     #[must_use]
     pub fn report(&self) -> Option<CampaignReport> {
@@ -620,11 +495,38 @@ impl ResilientCampaign {
     }
 }
 
+/// Rejects a campaign whose stimulus cannot drive `target`: zero
+/// vectors, or a pattern width different from the target's input count.
+pub(crate) fn check_stimulus(
+    target: &FaultTarget,
+    stimulus: &PatternSource,
+    vectors: usize,
+) -> Result<(), CircuitError> {
+    if vectors == 0 {
+        return Err(CircuitError::InvalidStimulus {
+            reason: "campaign needs at least one vector",
+        });
+    }
+    if stimulus.width() != target.inputs.len() {
+        return Err(CircuitError::WidthMismatch {
+            what: "fault campaign stimulus",
+            expected: target.inputs.len(),
+            got: stimulus.width(),
+        });
+    }
+    Ok(())
+}
+
+/// The campaign's stimulus: the next `vectors` patterns, in order.
+pub(crate) fn expand_stimulus(stimulus: &mut PatternSource, vectors: usize) -> Vec<Vec<Bit>> {
+    (0..vectors).map(|_| stimulus.next_pattern()).collect()
+}
+
 /// Content half of the golden-trace cache key: the netlist's structural
 /// hash mixed with the observation interface (input/output/clock node
 /// ids) and the expanded stimulus itself, so a cache entry can only hit
 /// when the golden run it stores would be recomputed identically.
-pub(crate) fn golden_cache_content(target: &FaultTarget, vecs: &[Vec<Bit>]) -> u64 {
+fn golden_cache_content(target: &FaultTarget, vecs: &[Vec<Bit>]) -> u64 {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&target.netlist.structural_hash().to_le_bytes());
     bytes.extend_from_slice(&(target.inputs.len() as u64).to_le_bytes());
@@ -646,32 +548,119 @@ pub(crate) fn golden_cache_content(target: &FaultTarget, vecs: &[Vec<Bit>]) -> u
     fnv64(&bytes)
 }
 
-/// [`run_campaign_recorded`] hardened for long campaigns: every
-/// injection runs under panic isolation with bounded retries and an
-/// optional per-item deadline, completed injections stream into a
-/// checkpoint journal so a killed campaign resumes where it stopped,
-/// and the golden trace is served from a content-addressed cache when
-/// one is supplied.
+/// The golden-trace cache protocol both engines share, so they
+/// interoperate on one cache directory: the key is engine-independent
+/// and the entry is the golden output trace. Returns the cached trace
+/// when the entry decodes to the right shape; otherwise runs `compute`,
+/// stores its trace, and returns it. The flag says whether the trace
+/// came from the cache. A misshapen entry or a failed store is a
+/// warning, never an error.
+pub(crate) fn cached_golden_trace(
+    (cache, seed): (&ByteCache, u64),
+    rec: &dyn Recorder,
+    target: &FaultTarget,
+    vecs: &[Vec<Bit>],
+    warnings: &mut Vec<String>,
+    compute: impl FnOnce() -> Result<Vec<Vec<Bit>>, CircuitError>,
+) -> Result<(Vec<Vec<Bit>>, bool), CircuitError> {
+    let key = CacheKey {
+        content: golden_cache_content(target, vecs),
+        seed,
+    };
+    if let Some(bytes) = cache.load(key, rec) {
+        match crate::persist::decode_trace(&bytes) {
+            Some(trace)
+                if trace.len() == vecs.len()
+                    && trace.iter().all(|row| row.len() == target.outputs.len()) =>
+            {
+                return Ok((trace, true));
+            }
+            _ => warnings.push(format!(
+                "golden-trace cache entry {} decoded to the wrong shape; recomputing",
+                key.file_name()
+            )),
+        }
+    }
+    let trace = compute()?;
+    if let Err(e) = cache.store(key, &crate::persist::encode_trace(&trace)) {
+        warnings.push(format!("golden-trace cache store failed: {e}"));
+    }
+    Ok((trace, false))
+}
+
+/// Flushes one target's `campaign.*` counters: slots resolved this run,
+/// the vectors actually simulated, and one count per outcome class
+/// present in `reports`.
+pub(crate) fn flush_campaign_counters(
+    rec: &dyn Recorder,
+    reports: &[Option<FaultReport>],
+    vectors_simulated: u64,
+) {
+    if !rec.is_enabled() {
+        return;
+    }
+    let count = |label: &str| {
+        reports
+            .iter()
+            .flatten()
+            .filter(|r| r.outcome.label() == label)
+            .count() as u64
+    };
+    rec.add(names::CAMPAIGN_TARGETS, 1);
+    rec.add(
+        names::CAMPAIGN_INJECTIONS,
+        reports.iter().flatten().count() as u64,
+    );
+    rec.add(names::CAMPAIGN_VECTORS, vectors_simulated);
+    rec.add(names::CAMPAIGN_DETECTED, count("detected"));
+    rec.add(names::CAMPAIGN_CORRUPTED, count("corrupted"));
+    rec.add(names::CAMPAIGN_PROPAGATED_X, count("propagated-as-X"));
+    rec.add(names::CAMPAIGN_MASKED, count("masked"));
+}
+
+/// Sweeps `faults` over `target` on the event-driven simulator, applying
+/// the same `vectors`-long stimulus to a golden run and to every
+/// injection, and classifies each outcome. The stimulus is expanded and
+/// the golden run executed up front on the calling thread; injections
+/// are then spread over the policy's worker threads, one fresh simulator
+/// each.
 ///
-/// Determinism contract: an interrupted run resumed to completion
-/// produces `reports` byte-identical to an uninterrupted run, for any
-/// thread count on either side — outcomes land at their fault's index
-/// and journal replay keys on that index. A permanently failing
-/// injection (panicking every attempt or exceeding its deadline)
-/// degrades to [`FaultOutcome::Errored`] at its slot; it never aborts
-/// the campaign and is retried on resume rather than journaled.
+/// Every injection runs under panic isolation with bounded retries and
+/// an optional per-item deadline, completed injections stream into a
+/// checkpoint journal when one is supplied so a killed campaign resumes
+/// where it stopped, and the golden trace is served from a
+/// content-addressed cache when one is supplied. With
+/// [`CampaignOptions::default`] nothing is journaled or cached and
+/// [`ResilientCampaign::report`] is the whole campaign.
 ///
-/// Counters: `campaign.injections` counts slots resolved this run
+/// Determinism contract: the reports are bit-identical for any thread
+/// count, and an interrupted run resumed to completion produces
+/// `reports` byte-identical to an uninterrupted run, for any thread
+/// count on either side — outcomes land at their fault's index and
+/// journal replay keys on that index. A permanently failing injection
+/// (panicking every attempt or exceeding its deadline) degrades to
+/// [`FaultOutcome::Errored`] at its slot; it never aborts the campaign
+/// and is retried on resume rather than journaled.
+///
+/// Metrics: a `campaign.run` span with a `.golden` child, the execution
+/// engine's `exec.*` counters and spans, and — because every
+/// per-injection simulator carries the recorder — the aggregate `sim.*`
+/// counters. `campaign.injections` counts slots resolved this run
 /// (replayed + computed), `campaign.vectors` counts only vectors
-/// actually simulated, and the outcome-class counters tally the
-/// outcomes present in `reports` — so an interrupted run's counters
-/// reflect what it really did.
+/// actually simulated, and the outcome-class counters tally the outcomes
+/// present in `reports` — so an interrupted run's counters reflect what
+/// it really did. Every counter except `exec.chunks` is identical for
+/// any thread count.
 ///
 /// # Errors
 ///
-/// The [`run_campaign`] contract: stimulus validation errors or a
-/// failing *golden* run abort the campaign. Faulted-run failures of any
-/// kind are classifications, never campaign failures.
+/// Returns [`CircuitError::InvalidStimulus`] if `vectors` is zero,
+/// [`CircuitError::WidthMismatch`] if the stimulus width mismatches the
+/// target's input count, or any error from the *golden* run — a golden
+/// run that fails means the target, not the fault, is broken.
+/// Faulted-run failures of any kind are classifications
+/// ([`FaultOutcome::Detected`] or [`FaultOutcome::Errored`]), never
+/// campaign failures.
 pub fn run_campaign_resilient(
     policy: &ExecPolicy,
     rec: &dyn Recorder,
@@ -681,144 +670,66 @@ pub fn run_campaign_resilient(
     vectors: usize,
     options: CampaignOptions<'_>,
 ) -> Result<ResilientCampaign, CircuitError> {
-    if vectors == 0 {
-        return Err(CircuitError::InvalidStimulus {
-            reason: "campaign needs at least one vector",
-        });
-    }
-    if stimulus.width() != target.inputs.len() {
-        return Err(CircuitError::WidthMismatch {
-            what: "fault campaign stimulus",
-            expected: target.inputs.len(),
-            got: stimulus.width(),
-        });
-    }
+    check_stimulus(target, stimulus, vectors)?;
     let CampaignOptions {
         fault,
         cache,
         checkpoint,
     } = options;
     let timer = span(rec, names::SPAN_CAMPAIGN_RUN);
-    let vecs: Vec<Vec<Bit>> = (0..vectors).map(|_| stimulus.next_pattern()).collect();
+    let vecs = expand_stimulus(stimulus, vectors);
     let mut warnings = Vec::new();
     let mut golden_from_cache = false;
+    // A computed golden run also warms the netlist's CSR fanout index,
+    // so the workers share the prebuilt adjacency read-only.
     let golden = {
         let _golden_timer = timer.child("golden");
-        let key = cache.map(|(c, seed)| {
-            (
-                c,
-                CacheKey {
-                    content: golden_cache_content(target, &vecs),
-                    seed,
-                },
-            )
-        });
-        let cached = key.and_then(|(c, k)| {
-            let bytes = c.load(k, rec)?;
-            match crate::persist::decode_trace(&bytes) {
-                Some(trace)
-                    if trace.len() == vectors
-                        && trace.iter().all(|row| row.len() == target.outputs.len()) =>
-                {
-                    Some(trace)
-                }
-                _ => {
-                    warnings.push(format!(
-                        "golden-trace cache entry {} decoded to the wrong shape; recomputing",
-                        k.file_name()
-                    ));
-                    None
-                }
-            }
-        });
-        match cached {
-            Some(trace) => {
-                golden_from_cache = true;
+        let compute = || run_trace(target, &vecs, None, rec, CancelToken::never());
+        match cache {
+            Some(c) => {
+                let (trace, hit) =
+                    cached_golden_trace(c, rec, target, &vecs, &mut warnings, compute)?;
+                golden_from_cache = hit;
                 trace
             }
-            None => {
-                let trace = run_trace(target, &vecs, None, rec, CancelToken::never())?;
-                if let Some((c, k)) = key {
-                    if let Err(e) = c.store(k, &crate::persist::encode_trace(&trace)) {
-                        warnings.push(format!("golden-trace cache store failed: {e}"));
-                    }
-                }
-                trace
-            }
+            None => compute()?,
         }
     };
-    let classify_item = |f: &GateFault, token: &CancelToken| -> ItemStatus<FaultOutcome> {
-        match run_trace(target, &vecs, Some(f), rec, token) {
+    let out = run_checkpointed(
+        policy,
+        &fault,
+        rec,
+        faults,
+        checkpoint,
+        crate::persist::encode_outcome,
+        crate::persist::decode_outcome,
+        |_, f, token| match run_trace(target, &vecs, Some(f), rec, token) {
             Ok(trace) => ItemStatus::Done(classify(&golden, &trace)),
             Err(CircuitError::Cancelled { .. }) if token.is_cancelled() => ItemStatus::TimedOut,
             Err(err) => ItemStatus::Done(FaultOutcome::Detected(err)),
-        }
-    };
-    let (slots, replayed, computed, skipped) = match checkpoint {
-        Some(spec) => {
-            let out = run_checkpointed(
-                policy,
-                &fault,
-                rec,
-                faults,
-                spec,
-                |o: &FaultOutcome| crate::persist::encode_outcome(o),
-                crate::persist::decode_outcome,
-                |_, f, token| classify_item(f, token),
-            );
-            warnings.extend(out.warnings);
-            (out.results, out.replayed, out.computed, out.skipped)
-        }
-        None => {
-            let res = parallel_map_isolated(policy, &fault, rec, faults, |_, f, token| {
-                classify_item(f, token)
-            });
-            let computed = res.len();
-            (
-                res.into_iter().map(Some).collect::<Vec<_>>(),
-                0,
-                computed,
-                0,
-            )
-        }
-    };
+        },
+    );
     drop(timer);
-    let reports: Vec<Option<FaultReport>> = slots
+    warnings.extend(out.warnings);
+    let reports: Vec<Option<FaultReport>> = out
+        .results
         .into_iter()
         .zip(faults)
         .map(|(slot, f)| {
             slot.map(|res| FaultReport {
                 fault: f.clone(),
-                outcome: match res {
-                    Ok(o) => o,
-                    Err(e) => FaultOutcome::Errored(e),
-                },
+                outcome: res.unwrap_or_else(FaultOutcome::Errored),
             })
         })
         .collect();
-    if rec.is_enabled() {
-        let count = |label: &str| {
-            reports
-                .iter()
-                .flatten()
-                .filter(|r| r.outcome.label() == label)
-                .count() as u64
-        };
-        rec.add(names::CAMPAIGN_TARGETS, 1);
-        rec.add(names::CAMPAIGN_INJECTIONS, (replayed + computed) as u64);
-        rec.add(names::CAMPAIGN_VECTORS, (vectors * computed) as u64);
-        rec.add(names::CAMPAIGN_DETECTED, count("detected"));
-        rec.add(names::CAMPAIGN_CORRUPTED, count("corrupted"));
-        rec.add(names::CAMPAIGN_PROPAGATED_X, count("propagated-as-X"));
-        rec.add(names::CAMPAIGN_MASKED, count("masked"));
-    }
+    flush_campaign_counters(rec, &reports, (vectors * out.computed) as u64);
     Ok(ResilientCampaign {
         target: target.name.clone(),
         vectors,
         reports,
-        replayed,
-        computed,
-        skipped,
+        replayed: out.replayed,
+        computed: out.computed,
+        skipped: out.skipped,
         golden_from_cache,
         warnings,
     })
@@ -904,6 +815,25 @@ mod tests {
         standard_targets(width).unwrap().into_iter().next().unwrap()
     }
 
+    /// A serial campaign with default options, as a plain report.
+    fn campaign(
+        target: &FaultTarget,
+        faults: &[GateFault],
+        stimulus: &mut PatternSource,
+        vectors: usize,
+    ) -> Result<CampaignReport, CircuitError> {
+        let run = run_campaign_resilient(
+            &ExecPolicy::serial(),
+            lowvolt_obs::noop(),
+            target,
+            faults,
+            stimulus,
+            vectors,
+            CampaignOptions::default(),
+        )?;
+        Ok(run.report().unwrap())
+    }
+
     #[test]
     fn outcome_merge_is_a_max_over_the_word_class_precedence() {
         let detected_unknown = || FaultOutcome::Detected(CircuitError::UnknownNode(3));
@@ -971,8 +901,18 @@ mod tests {
             let reg = MetricsRegistry::new();
             let mut src = PatternSource::counting(target.inputs.len(), 1).unwrap();
             let policy = ExecPolicy::with_threads(threads);
-            let report =
-                run_campaign_recorded(&policy, &reg, &target, &faults, &mut src, 6).unwrap();
+            let report = run_campaign_resilient(
+                &policy,
+                &reg,
+                &target,
+                &faults,
+                &mut src,
+                6,
+                CampaignOptions::default(),
+            )
+            .unwrap()
+            .report()
+            .unwrap();
             (reg.snapshot(), report)
         };
 
@@ -1018,7 +958,7 @@ mod tests {
             value: Bit::One,
         };
         let mut src = PatternSource::counting(target.inputs.len(), 0).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 8).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 8).unwrap();
         assert_eq!(report.reports[0].outcome, FaultOutcome::Corrupted);
     }
 
@@ -1030,7 +970,7 @@ mod tests {
             input_index: target.inputs.len() - 1,
         };
         let mut src = PatternSource::zeros(target.inputs.len()).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 4).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 4).unwrap();
         assert_eq!(report.reports[0].outcome, FaultOutcome::PropagatedAsX);
     }
 
@@ -1043,7 +983,7 @@ mod tests {
             value: Bit::Zero,
         };
         let mut src = PatternSource::zeros(target.inputs.len()).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 4).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 4).unwrap();
         assert_eq!(report.reports[0].outcome, FaultOutcome::Masked);
     }
 
@@ -1074,7 +1014,7 @@ mod tests {
             value: Bit::One,
         };
         let mut src = PatternSource::zeros(2).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 2).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 2).unwrap();
         assert!(
             matches!(
                 report.reports[0].outcome,
@@ -1103,7 +1043,7 @@ mod tests {
         };
         let fault = GateFault::Bridge { a, b: buf2 };
         let mut src = PatternSource::counting(1, 0).unwrap();
-        let report = run_campaign(&target, &[fault], &mut src, 4).unwrap();
+        let report = campaign(&target, &[fault], &mut src, 4).unwrap();
         assert_eq!(report.reports[0].outcome, FaultOutcome::Masked);
     }
 
@@ -1112,12 +1052,12 @@ mod tests {
         let target = adder_target(4);
         let mut narrow = PatternSource::zeros(2).unwrap();
         assert!(matches!(
-            run_campaign(&target, &[], &mut narrow, 4),
+            campaign(&target, &[], &mut narrow, 4),
             Err(CircuitError::WidthMismatch { .. })
         ));
         let mut ok = PatternSource::zeros(target.inputs.len()).unwrap();
         assert!(matches!(
-            run_campaign(&target, &[], &mut ok, 0),
+            campaign(&target, &[], &mut ok, 0),
             Err(CircuitError::InvalidStimulus { .. })
         ));
     }
@@ -1139,7 +1079,7 @@ mod tests {
             value: Bit::One,
         };
         let mut src = PatternSource::counting(4, 0).unwrap();
-        let report = run_campaign(regs, &[fault], &mut src, 6).unwrap();
+        let report = campaign(regs, &[fault], &mut src, 6).unwrap();
         assert_eq!(report.reports[0].outcome, FaultOutcome::Corrupted);
     }
 
@@ -1180,11 +1120,11 @@ mod tests {
     }
 
     #[test]
-    fn resilient_matches_classic_runner_without_options() {
+    fn campaign_without_options_resolves_every_fault() {
         let target = adder_target(2);
         let faults = stuck_at_universe(&target.netlist);
         let mut src = PatternSource::counting(target.inputs.len(), 1).unwrap();
-        let classic = run_campaign(&target, &faults, &mut src, 4).unwrap();
+        let serial = campaign(&target, &faults, &mut src, 4).unwrap();
         let mut src = PatternSource::counting(target.inputs.len(), 1).unwrap();
         let resilient = run_campaign_resilient(
             &ExecPolicy::with_threads(2),
@@ -1201,7 +1141,7 @@ mod tests {
         assert_eq!(resilient.computed, faults.len());
         assert!(!resilient.golden_from_cache);
         assert!(resilient.warnings.is_empty());
-        assert_eq!(resilient.report().unwrap(), classic);
+        assert_eq!(resilient.report().unwrap(), serial);
     }
 
     #[test]

@@ -3,19 +3,40 @@
 //! to the serial sweep, for any thread count.
 
 use lowvolt_circuit::faults::{
-    run_campaign, run_campaign_with, standard_targets, stuck_at_universe, CampaignReport,
+    run_campaign_resilient, standard_targets, stuck_at_universe, CampaignOptions, CampaignReport,
+    FaultTarget,
 };
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_exec::ExecPolicy;
+
+fn campaign(
+    policy: &ExecPolicy,
+    target: &FaultTarget,
+    src: &mut PatternSource,
+    vectors: usize,
+) -> CampaignReport {
+    let faults = stuck_at_universe(&target.netlist);
+    run_campaign_resilient(
+        policy,
+        lowvolt_obs::noop(),
+        target,
+        &faults,
+        src,
+        vectors,
+        CampaignOptions::default(),
+    )
+    .expect("campaign")
+    .report()
+    .expect("an uninterrupted campaign resolves every fault")
+}
 
 fn serial_reports(width: usize, vectors: usize) -> Vec<CampaignReport> {
     let targets = standard_targets(width).expect("standard targets build");
     targets
         .iter()
         .map(|target| {
-            let faults = stuck_at_universe(&target.netlist);
             let mut src = PatternSource::random(target.inputs.len(), 0xD5EED).expect("stimulus");
-            run_campaign(target, &faults, &mut src, vectors).expect("serial campaign")
+            campaign(&ExecPolicy::serial(), target, &mut src, vectors)
         })
         .collect()
 }
@@ -29,10 +50,8 @@ fn campaign_identical_for_any_thread_count() {
     for threads in [1, 2, 3, 8] {
         let policy = ExecPolicy::with_threads(threads);
         for (target, expected) in targets.iter().zip(&serial) {
-            let faults = stuck_at_universe(&target.netlist);
             let mut src = PatternSource::random(target.inputs.len(), 0xD5EED).expect("stimulus");
-            let got = run_campaign_with(&policy, target, &faults, &mut src, vectors)
-                .expect("parallel campaign");
+            let got = campaign(&policy, target, &mut src, vectors);
             // Structural equality: same faults in the same order with the
             // same classifications…
             assert_eq!(&got, expected, "threads = {threads}, {}", target.name);
@@ -53,11 +72,9 @@ fn campaign_default_policy_matches_serial() {
     // must agree with the serial reference.
     let targets = standard_targets(2).expect("standard targets build");
     let target = &targets[0];
-    let faults = stuck_at_universe(&target.netlist);
     let mut src = PatternSource::random(target.inputs.len(), 7).expect("stimulus");
-    let serial = run_campaign(target, &faults, &mut src, 4).expect("serial");
+    let serial = campaign(&ExecPolicy::serial(), target, &mut src, 4);
     let mut src = PatternSource::random(target.inputs.len(), 7).expect("stimulus");
-    let parallel =
-        run_campaign_with(&ExecPolicy::from_env(), target, &faults, &mut src, 4).expect("parallel");
+    let parallel = campaign(&ExecPolicy::from_env(), target, &mut src, 4);
     assert_eq!(serial, parallel);
 }

@@ -7,12 +7,15 @@
 //! width-mismatched stimulus, and full stuck-at fault campaigns over
 //! random circuits.
 
-use lowvolt_circuit::faults::{run_campaign, stuck_at_universe, FaultTarget};
+use lowvolt_circuit::faults::{
+    run_campaign_resilient, stuck_at_universe, CampaignOptions, FaultTarget,
+};
 use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::netlist::{GateKind, Netlist, NodeId};
 use lowvolt_circuit::sim::Simulator;
 use lowvolt_circuit::stimulus::PatternSource;
 use lowvolt_circuit::CircuitError;
+use lowvolt_exec::ExecPolicy;
 use proptest::prelude::*;
 
 const KINDS: [GateKind; 14] = [
@@ -194,7 +197,16 @@ proptest! {
             clock: None,
         };
         let mut src = PatternSource::random(inputs.len(), seed).expect("non-zero width");
-        match run_campaign(&target, &faults, &mut src, 6) {
+        let run = run_campaign_resilient(
+            &ExecPolicy::serial(),
+            lowvolt_obs::noop(),
+            &target,
+            &faults,
+            &mut src,
+            6,
+            CampaignOptions::default(),
+        );
+        match run.map(|r| r.report().expect("an uninterrupted campaign resolves every fault")) {
             Ok(report) => {
                 prop_assert_eq!(report.faults(), universe);
                 prop_assert_eq!(

@@ -48,8 +48,8 @@ pub mod error;
 /// The parallel execution engine (re-exported from `lowvolt-exec`, the
 /// bottom of the crate stack, so the circuit layer can share it):
 /// [`exec::ExecPolicy`] selects a worker count
-/// (`LOWVOLT_THREADS`-aware), [`exec::parallel_map`] runs a chunked
-/// scoped-thread map with deterministic, input-ordered results. The
+/// (`LOWVOLT_THREADS`-aware), [`exec::parallel_map_recorded`] runs a
+/// chunked scoped-thread map with deterministic, input-ordered results. The
 /// optimizer grid, sensitivity analysis, and tradeoff surface all accept
 /// a policy via their `*_with` constructors.
 pub mod exec {

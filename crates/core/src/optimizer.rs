@@ -459,6 +459,21 @@ mod tests {
     }
 
     #[test]
+    fn optimum_is_identical_for_any_thread_count() {
+        // The grid fans out over the policy; the argmin and the refined
+        // optimum must not depend on how many workers evaluated it.
+        let opt = FixedThroughputOptimizer::paper_ring(Seconds::from_nanos(2.0)).unwrap();
+        let t_op = Seconds(1e-6);
+        let serial = opt.optimum_with(&ExecPolicy::serial(), t_op).unwrap();
+        for threads in [2, 8] {
+            let parallel = opt
+                .optimum_with(&ExecPolicy::with_threads(threads), t_op)
+                .unwrap();
+            assert_eq!(parallel, serial, "threads = {threads}");
+        }
+    }
+
+    #[test]
     fn optimum_beats_grid_neighbours() {
         let opt = optimizer();
         let t_op = Seconds(1e-6);

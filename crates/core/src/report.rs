@@ -70,23 +70,6 @@ impl Table {
     /// compare this form verbatim.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(out: &mut String, s: &str) {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
         let mut out = String::from("[\n");
         for (r, row) in self.rows.iter().enumerate() {
             out.push_str("  {");
@@ -94,9 +77,9 @@ impl Table {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                esc(&mut out, h);
+                lowvolt_obs::push_json_str(&mut out, h);
                 out.push_str(": ");
-                esc(&mut out, cell);
+                lowvolt_obs::push_json_str(&mut out, cell);
             }
             out.push('}');
             if r + 1 < self.rows.len() {

@@ -187,7 +187,7 @@ pub enum ItemStatus<R> {
     TimedOut,
 }
 
-/// [`crate::parallel_map`] with per-item fault isolation: each item runs
+/// [`crate::parallel_map_recorded`] with per-item fault isolation: each item runs
 /// under [`catch_unwind`] with a bounded retry loop, so the returned
 /// vector always has one slot per input item — `Ok` results at their
 /// input indices and typed [`ExecError`]s where an item failed every

@@ -315,8 +315,9 @@ struct JournalSink<'a> {
     failed: Option<String>,
 }
 
-/// [`parallel_map_isolated`] with an incremental checkpoint journal:
-/// items whose index (offset by `spec.index_base`) already has a
+/// [`parallel_map_isolated`] with an optional incremental checkpoint
+/// journal. With `spec` set, items whose index (offset by
+/// `spec.index_base`) already has a
 /// decodable record in `spec.completed` are replayed without running;
 /// the rest execute under the fault layer, and each successful result
 /// is encoded and appended to the journal as soon as it completes.
@@ -327,13 +328,18 @@ struct JournalSink<'a> {
 /// thread count on either side. Journal write failures never abort the
 /// region; they downgrade to a warning and the run continues
 /// uncheckpointed.
+///
+/// With `spec` `None` every item runs exactly as under
+/// [`parallel_map_isolated`]: nothing is replayed, skipped or encoded.
+/// This is the one place that chooses between journaled and
+/// unjournaled execution.
 #[allow(clippy::too_many_arguments)]
 pub fn run_checkpointed<T, R, F, Enc, Dec>(
     policy: &ExecPolicy,
     fault: &FaultPolicy,
     rec: &dyn Recorder,
     items: &[T],
-    spec: CheckpointSpec<'_>,
+    spec: Option<CheckpointSpec<'_>>,
     encode: Enc,
     decode: Dec,
     f: F,
@@ -345,6 +351,19 @@ where
     Enc: Fn(&R) -> Vec<u8> + Sync,
     Dec: Fn(&[u8]) -> Option<R>,
 {
+    let Some(spec) = spec else {
+        let results: Vec<_> = parallel_map_isolated(policy, fault, rec, items, f)
+            .into_iter()
+            .map(Some)
+            .collect();
+        return CheckpointOutcome {
+            computed: results.len(),
+            results,
+            replayed: 0,
+            skipped: 0,
+            warnings: Vec::new(),
+        };
+    };
     let mut results: Vec<Option<Result<R, ExecError>>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
     let mut warnings = Vec::new();
@@ -533,12 +552,12 @@ mod tests {
                 &FaultPolicy::default(),
                 lowvolt_obs::noop(),
                 &items,
-                CheckpointSpec {
+                Some(CheckpointSpec {
                     journal,
                     completed,
                     index_base: 100,
                     max_new_items: cap,
-                },
+                }),
                 |r: &u64| r.to_le_bytes().to_vec(),
                 |b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?)),
                 |_, &x, _| ItemStatus::Done(x * x),
@@ -569,5 +588,44 @@ mod tests {
         assert_eq!(resumed.computed, 27);
         assert_eq!(resumed.results, reference.results);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unjournaled_region_matches_isolated_map() {
+        use lowvolt_obs::MetricsRegistry;
+        let items: Vec<u64> = (0..57).collect();
+        let square = |_: usize, &x: &u64, _: &CancelToken| ItemStatus::Done(x * x);
+        let isolated_reg = MetricsRegistry::new();
+        let isolated = parallel_map_isolated(
+            &ExecPolicy::with_threads(3),
+            &FaultPolicy::default(),
+            &isolated_reg,
+            &items,
+            square,
+        );
+        let region_reg = MetricsRegistry::new();
+        let region = run_checkpointed(
+            &ExecPolicy::with_threads(3),
+            &FaultPolicy::default(),
+            &region_reg,
+            &items,
+            None,
+            |r: &u64| r.to_le_bytes().to_vec(),
+            |b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?)),
+            square,
+        );
+        assert_eq!(region.replayed, 0);
+        assert_eq!(region.skipped, 0);
+        assert_eq!(region.computed, items.len());
+        assert!(region.warnings.is_empty());
+        assert_eq!(
+            region.results,
+            isolated.into_iter().map(Some).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            region_reg.counter(names::EXEC_ITEMS),
+            isolated_reg.counter(names::EXEC_ITEMS)
+        );
+        assert_eq!(region_reg.counter(names::EXEC_ITEMS), items.len() as u64);
     }
 }

@@ -2,6 +2,7 @@
 //! netlist locations, and the [`LintReport`] container with human-text
 //! and JSON rendering.
 
+use lowvolt_obs::push_json_str;
 use std::fmt;
 
 /// How serious a finding is. Ordered so that `Info < Warning < Error`.
@@ -478,23 +479,6 @@ impl fmt::Display for LintReport {
         }
         Ok(())
     }
-}
-
-/// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ impl Linter {
 
     /// Lints one target, running the four passes in parallel under
     /// `policy`. Results are deterministic regardless of thread count:
-    /// `parallel_map` returns pass outputs in input order and the final
+    /// `parallel_map_recorded` returns pass outputs in input order and the final
     /// sort is total.
     #[must_use]
     pub fn lint_with(&self, policy: &ExecPolicy, target: &LintTarget) -> LintReport {

@@ -1,7 +1,8 @@
 //! The five analysis pass families. Each pass is a pure function
 //! `(&LintTarget, &LintConfig) -> Vec<Diagnostic>` — no simulation, no
 //! I/O, no shared state — which is what lets the engine fan the passes
-//! out over `lowvolt_exec::parallel_map` with deterministic results.
+//! out over `lowvolt_exec::parallel_map_recorded` with deterministic
+//! results.
 
 pub mod leakage;
 pub mod power;

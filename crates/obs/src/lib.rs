@@ -43,7 +43,7 @@ mod registry;
 mod report;
 
 pub use registry::{MetricsRegistry, TimerStat, TIMER_BUCKETS};
-pub use report::{normalize_timings, MetricsReport, SpanStat};
+pub use report::{normalize_timings, push_json_str, MetricsReport, SpanStat};
 
 use std::borrow::Cow;
 use std::time::Instant;

@@ -6,7 +6,7 @@
 //! sorted so lookups are a binary search and the JSON report's key order
 //! is the catalog order. Span (timer) names are free-form dotted strings
 //! but the fixed ones used by the toolkit are also declared here so CLI
-//! output and `BENCH_sim.json` cannot drift apart.
+//! output and the benchmark (`perfbench/`) cannot drift apart.
 
 /// Events popped and applied by the gate-level event simulator.
 pub const SIM_EVENTS_PROCESSED: &str = "sim.events.processed";
@@ -80,7 +80,7 @@ pub const CAMPAIGN_PROPAGATED_X: &str = "campaign.propagated_x";
 /// Injections classified `Masked`.
 pub const CAMPAIGN_MASKED: &str = "campaign.masked";
 
-/// Work items submitted to `parallel_map` regions.
+/// Work items submitted to `parallel_map_recorded` regions.
 pub const EXEC_ITEMS: &str = "exec.items";
 /// Chunks claimed from the work-pool cursor (varies with thread count —
 /// the one deliberately thread-dependent counter in the catalog).
@@ -193,7 +193,8 @@ pub const SPAN_SIM_MEASURE_ACTIVITY: &str = "sim.measure_activity";
 pub const SPAN_SWITCH_SETTLE: &str = "switch.settle";
 /// Span name for one fault-campaign target.
 pub const SPAN_CAMPAIGN_RUN: &str = "campaign.run";
-/// Span name for a whole `parallel_map` region (serial or parallel).
+/// Span name for a whole `parallel_map_recorded` region (serial or
+/// parallel).
 pub const SPAN_EXEC_REGION: &str = "exec.region";
 /// Span name accumulating each worker's busy time inside a region;
 /// `Σ exec.worker / (threads × exec.region)` is the thread utilization.
@@ -207,21 +208,6 @@ pub const SPAN_PROFILE_RUN: &str = "profile.run";
 /// Span name for one static-timing analysis (compile + forward +
 /// backward + endpoint summaries).
 pub const SPAN_STA_ANALYZE: &str = "sta.analyze";
-
-/// `perf` stage: fault campaign over the standard targets.
-pub const STAGE_CAMPAIGN: &str = "campaign";
-/// `perf` stage: figure-table regeneration sweep.
-pub const STAGE_REGEN: &str = "regen";
-/// `perf` stage: design-space optimization sweep.
-pub const STAGE_OPTIMIZE: &str = "optimize";
-/// `perf` stage: static timing analysis over the standard datapaths.
-pub const STAGE_STA: &str = "sta";
-/// `perf` stage: BLIF round-trip parse of a generated netlist.
-pub const STAGE_PARSE: &str = "parse";
-/// `perf` stage: packed fault campaign on a large generated netlist.
-pub const STAGE_CAMPAIGN_GENERATED: &str = "campaign-generated";
-/// `perf` stage: static timing analysis of a large generated netlist.
-pub const STAGE_STA_GENERATED: &str = "sta-generated";
 
 #[cfg(test)]
 mod tests {

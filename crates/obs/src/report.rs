@@ -122,7 +122,12 @@ impl MetricsReport {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string literal: `"` and `\\`
+/// are backslash-escaped, `\n`, `\r` and `\t` take their short forms,
+/// and every other character below U+0020 becomes `\u00XX`. Every
+/// hand-rolled JSON writer in the workspace escapes through this one
+/// function.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

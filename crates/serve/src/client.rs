@@ -75,9 +75,9 @@ pub fn submit_line(
         return Err(JobError("daemon did not say hello".to_string()));
     }
 
+    // One write for the request and its newline (see `server::send`).
     writer
-        .write_all(request.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
+        .write_all(format!("{request}\n").as_bytes())
         .and_then(|()| writer.flush())
         .map_err(|e| JobError(format!("cannot send request: {e}")))?;
 

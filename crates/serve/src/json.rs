@@ -172,24 +172,13 @@ fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
     }
 }
 
-/// Escapes a string for embedding between JSON double quotes.
+/// Escapes a string for embedding between JSON double quotes (the
+/// escaping itself is [`lowvolt_obs::push_json_str`]'s).
 #[must_use]
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    let mut quoted = String::with_capacity(s.len() + 8);
+    lowvolt_obs::push_json_str(&mut quoted, s);
+    quoted[1..quoted.len() - 1].to_string()
 }
 
 const MAX_DEPTH: usize = 64;
@@ -328,19 +317,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 return Err(err(*pos, "raw control character in string"));
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (the input is a &str, so
-                // boundaries are valid by construction).
-                let rest = match std::str::from_utf8(&bytes[*pos..]) {
-                    Ok(r) => r,
+                // Copy the whole run of plain bytes up to the next quote,
+                // backslash or control byte in one validated slice. Those
+                // delimiters are ASCII, so the run ends on a UTF-8
+                // boundary (the input is a &str, so it starts on one).
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .map_or(bytes.len(), |n| *pos + n);
+                match std::str::from_utf8(&bytes[*pos..run]) {
+                    Ok(plain) => out.push_str(plain),
                     Err(_) => return Err(err(*pos, "invalid UTF-8")),
-                };
-                match rest.chars().next() {
-                    Some(c) => {
-                        out.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return Err(err(*pos, "unterminated string")),
                 }
+                *pos = run;
             }
         }
     }
@@ -491,6 +480,25 @@ mod tests {
         assert_eq!(v.get("frac").and_then(Json::as_u64), None);
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn megabyte_string_decodes_in_linear_time() {
+        // One request line at the protocol's 1 MiB cap must decode in
+        // time linear in its length: re-validating the rest of the input
+        // per character takes minutes at this size.
+        let chunk = "plain ünïcode text \\n then an escape ";
+        let body = chunk.repeat((1 << 20) / chunk.len());
+        let text = format!("{{\"payload\":\"{body}\"}}");
+        let start = std::time::Instant::now();
+        let v = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        let decoded = v.get("payload").and_then(Json::as_str).unwrap();
+        assert_eq!(decoded, body.replace("\\n", "\n"));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "1 MiB string took {elapsed:?} to decode"
+        );
     }
 
     #[test]

@@ -226,11 +226,13 @@ fn read_line_capped<R: BufRead>(reader: &mut R) -> std::io::Result<LineRead> {
 
 /// Writes one event line; returns `false` once the client is gone so
 /// callers can stop emitting without aborting the job (journaled work
-/// is never wasted by a disconnect).
+/// is never wasted by a disconnect). The event and its newline go out
+/// in one write, so the newline never waits behind Nagle's algorithm
+/// for the event's acknowledgement.
 fn send(stream: &mut TcpStream, event: &str) -> bool {
+    let line = format!("{event}\n");
     stream
-        .write_all(event.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
+        .write_all(line.as_bytes())
         .and_then(|()| stream.flush())
         .is_ok()
 }

@@ -5,6 +5,7 @@
 //! JSON is hand-rolled like every other emitter in the workspace.
 
 use lowvolt_device::units::{Seconds, Volts};
+use lowvolt_obs::push_json_str as json_str;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -136,26 +137,6 @@ fn json_ps(s: Seconds) -> String {
     } else {
         "null".to_owned()
     }
-}
-
-/// Minimal JSON string escaper (node names are identifiers, but the
-/// emitter must stay correct for any input).
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl StaReport {

@@ -11,11 +11,35 @@
 //! Run with: `cargo run --release --example fault_campaign`
 
 use lowvolt::circuit::faults::{
-    run_campaign, run_campaign_with, standard_targets, stuck_at_universe, FaultOutcome, GateFault,
+    run_campaign_resilient, standard_targets, stuck_at_universe, CampaignOptions, CampaignReport,
+    FaultOutcome, FaultTarget, GateFault,
 };
 use lowvolt::circuit::stimulus::PatternSource;
 use lowvolt::circuit::CircuitError;
 use lowvolt::exec::ExecPolicy;
+
+/// One campaign with default options: nothing is journaled, cached or
+/// skipped, so every fault ends up in the report.
+fn campaign(
+    policy: &ExecPolicy,
+    target: &FaultTarget,
+    faults: &[GateFault],
+    src: &mut PatternSource,
+    vectors: usize,
+) -> Result<CampaignReport, CircuitError> {
+    let run = run_campaign_resilient(
+        policy,
+        lowvolt::obs::noop(),
+        target,
+        faults,
+        src,
+        vectors,
+        CampaignOptions::default(),
+    )?;
+    run.report().ok_or(CircuitError::Internal {
+        detail: "an uninterrupted campaign left faults unresolved",
+    })
+}
 
 fn main() -> Result<(), CircuitError> {
     // Injections are partitioned over LOWVOLT_THREADS workers (default:
@@ -28,7 +52,7 @@ fn main() -> Result<(), CircuitError> {
     let adder = &targets[0];
     let faults = stuck_at_universe(&adder.netlist);
     let mut src = PatternSource::random(adder.inputs.len(), 1996)?;
-    let report = run_campaign_with(&policy, adder, &faults, &mut src, 64)?;
+    let report = campaign(&policy, adder, &faults, &mut src, 64)?;
     println!("== single-stuck-at sweep, 8-bit ripple-carry adder ==");
     print!("{report}");
 
@@ -57,7 +81,7 @@ fn main() -> Result<(), CircuitError> {
         GateFault::StimulusBitFlip { input_index: 0 },
     ];
     let mut src = PatternSource::random(adder.inputs.len(), 7)?;
-    let hr = run_campaign(adder, &harness, &mut src, 64)?;
+    let hr = campaign(&ExecPolicy::serial(), adder, &harness, &mut src, 64)?;
     println!("\nharness faults on input column 0:");
     for r in &hr.reports {
         println!("  {:30} -> {}", r.fault.to_string(), r.outcome.label());
@@ -68,7 +92,7 @@ fn main() -> Result<(), CircuitError> {
     for target in &standard_targets(4)? {
         let faults = stuck_at_universe(&target.netlist);
         let mut src = PatternSource::random(target.inputs.len(), 42)?;
-        let report = run_campaign_with(&policy, target, &faults, &mut src, 32)?;
+        let report = campaign(&policy, target, &faults, &mut src, 32)?;
         print!("{report}");
     }
     println!("\nevery fault above was classified — zero panics by construction.");

@@ -29,7 +29,9 @@
 //! oscillate, so such netlists are refused with
 //! [`CircuitError::Unlevelizable`] rather than silently mis-simulated.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::activity::{ActivityReport, NodeActivity};
 use crate::error::CircuitError;
@@ -40,7 +42,7 @@ use crate::faults::{
 use crate::logic::Bit;
 use crate::netlist::{GateKind, Netlist, NodeId};
 use crate::stimulus::PatternSource;
-use lowvolt_exec::{run_checkpointed, ExecError, ExecPolicy, ItemStatus};
+use lowvolt_exec::{run_checkpointed, CheckpointSpec, ExecError, ExecPolicy, ItemStatus};
 use lowvolt_obs::{names, span, Recorder};
 
 /// One node's 64 packed lanes: `(val, known)`. Encoding is canonical
@@ -752,10 +754,15 @@ impl CompiledNetlist {
 /// undo log, an epoch-stamped dedup array, and per-level gate buckets.
 struct Scratch {
     planes: Planes,
+    /// Nodes whose planes differ from the reference — the fault's
+    /// difference frontier, also the undo log.
     touched: Vec<u32>,
     queued: Vec<u64>,
     epoch: u64,
     buckets: Vec<Vec<u32>>,
+    /// Lowest bucket holding an enqueued gate (`usize::MAX` when none),
+    /// so propagation starts there instead of at level 1.
+    lowest: usize,
 }
 
 impl Scratch {
@@ -766,6 +773,7 @@ impl Scratch {
             queued: vec![0; comp.gate_count()],
             epoch: 0,
             buckets: vec![Vec::new(); comp.level_count()],
+            lowest: usize::MAX,
         }
     }
 
@@ -783,7 +791,9 @@ impl CompiledNetlist {
             let p = p as usize;
             if s.queued[p] != s.epoch {
                 s.queued[p] = s.epoch;
-                s.buckets[self.gate_level[p] as usize - 1].push(p as u32);
+                let bucket = self.gate_level[p] as usize - 1;
+                s.buckets[bucket].push(p as u32);
+                s.lowest = s.lowest.min(bucket);
                 *pending += 1;
             }
         }
@@ -801,11 +811,11 @@ impl CompiledNetlist {
     }
 
     /// Difference-frontier propagation: evaluates only enqueued gates,
-    /// level-ascending, enqueueing fanout only where the faulty planes
-    /// diverge from `reference`. Early-exits the moment no gate remains
-    /// enqueued — the concurrent-fault-style dropout. Returns the gate
-    /// evaluations performed and whether the frontier died before the
-    /// last level.
+    /// level-ascending from the lowest enqueued level, enqueueing fanout
+    /// only where the faulty planes diverge from `reference`. Early-exits
+    /// the moment no gate remains enqueued — the concurrent-fault-style
+    /// dropout. Returns the gate evaluations performed and whether the
+    /// frontier died before the last level.
     fn propagate(
         &self,
         s: &mut Scratch,
@@ -815,7 +825,10 @@ impl CompiledNetlist {
     ) -> (u64, bool) {
         let mut evals = 0u64;
         let mut dropped = false;
-        for l in 0..self.level_count() {
+        // Levels below the lowest enqueued one hold no work; an empty
+        // frontier still reports its dropout from level 1.
+        let first = if pending == 0 { 0 } else { s.lowest };
+        for l in first..self.level_count() {
             if pending == 0 {
                 dropped = true;
                 break;
@@ -839,7 +852,56 @@ impl CompiledNetlist {
             }
             s.buckets[l].clear();
         }
+        s.lowest = usize::MAX;
         (evals, dropped)
+    }
+}
+
+/// Per-campaign lookups that keep a fault's cost proportional to its
+/// difference frontier: the flip-flops each data node feeds (so phase B
+/// carries only touched state) and which nodes are observed outputs (so
+/// classification visits only touched outputs).
+struct FrontierIndex {
+    /// `q_starts[n]..q_starts[n + 1]` ranges over `qs`, the state nodes
+    /// of the flip-flops whose data input is node `n`.
+    q_starts: Vec<u32>,
+    qs: Vec<u32>,
+    /// Whether each node is one of the target's observed outputs.
+    is_output: Vec<bool>,
+}
+
+impl FrontierIndex {
+    fn new(comp: &CompiledNetlist, target: &FaultTarget) -> FrontierIndex {
+        let mut q_starts = vec![0u32; comp.node_count + 1];
+        for dff in &comp.dffs {
+            q_starts[dff.d as usize + 1] += 1;
+        }
+        for n in 0..comp.node_count {
+            q_starts[n + 1] += q_starts[n];
+        }
+        let mut fill = q_starts.clone();
+        let mut qs = vec![0u32; comp.dffs.len()];
+        for dff in &comp.dffs {
+            let slot = &mut fill[dff.d as usize];
+            qs[*slot as usize] = dff.q;
+            *slot += 1;
+        }
+        let mut is_output = vec![false; comp.node_count];
+        for n in &target.outputs {
+            if let Some(o) = is_output.get_mut(n.index()) {
+                *o = true;
+            }
+        }
+        FrontierIndex {
+            q_starts,
+            qs,
+            is_output,
+        }
+    }
+
+    /// State nodes of the flip-flops sampling data node `n`.
+    fn fed_by(&self, n: usize) -> &[u32] {
+        &self.qs[self.q_starts[n] as usize..self.q_starts[n + 1] as usize]
     }
 }
 
@@ -974,13 +1036,20 @@ impl CompiledNetlist {
 
     /// Classifies the faulty planes against the golden planes over the
     /// observed outputs, restricted to active lanes — the packed form of
-    /// the event campaign's per-vector `classify` scan.
-    fn classify_word(&self, target: &FaultTarget, gw: &GoldenWord, faulty: &Planes) -> u8 {
+    /// the event campaign's per-vector `classify` scan. Only the touched
+    /// outputs are visited: an untouched output equals its golden value,
+    /// and a foreign output id is X on both sides, so neither can set a
+    /// definite or X-divergent lane.
+    fn classify_word(index: &FrontierIndex, gw: &GoldenWord, faulty: &Scratch) -> u8 {
         let mut definite = 0u64;
         let mut xdiv = 0u64;
-        for n in &target.outputs {
-            let g = gw.fin.get_or_x(n.index());
-            let f = faulty.get_or_x(n.index());
+        for &n in &faulty.touched {
+            let n = n as usize;
+            if !index.is_output[n] {
+                continue;
+            }
+            let g = gw.fin.get(n);
+            let f = faulty.planes.get(n);
             definite |= g.1 & f.1 & (g.0 ^ f.0);
             xdiv |= g.1 ^ f.1;
         }
@@ -999,6 +1068,7 @@ impl CompiledNetlist {
     fn fault_word_class(
         &self,
         target: &FaultTarget,
+        index: &FrontierIndex,
         gw: &GoldenWord,
         sa: &mut Option<Scratch>,
         sb: &mut Scratch,
@@ -1029,29 +1099,32 @@ impl CompiledNetlist {
             let (e, d) = self.propagate(sa, ga, forced, pending);
             evals += e;
             dropped |= d;
-            let captured: Vec<P> = self
-                .dffs
-                .iter()
-                .map(|f| sa.planes.get(f.d as usize))
-                .collect();
-            sa.undo(ga);
 
             sb.epoch += 1;
             let mut pending = 0usize;
             let forced = match self.seed_fault(sb, gw, target, fault, &mut pending) {
                 Ok(f) => f,
-                Err(class) => return (class, evals, dropped),
+                Err(class) => {
+                    sa.undo(ga);
+                    return (class, evals, dropped);
+                }
             };
-            for (dff, &q) in self.dffs.iter().zip(&captured) {
-                let qn = dff.q as usize;
-                if forced != Some(qn) {
-                    self.seed(sb, qn, q, &mut pending);
+            // Only a touched data node captures a non-golden state; every
+            // other flip-flop already holds its golden state in `gw.fin`.
+            for &dn in &sa.touched {
+                let captured = sa.planes.get(dn as usize);
+                for &qn in index.fed_by(dn as usize) {
+                    let qn = qn as usize;
+                    if forced != Some(qn) {
+                        self.seed(sb, qn, captured, &mut pending);
+                    }
                 }
             }
+            sa.undo(ga);
             let (e, d) = self.propagate(sb, &gw.fin, forced, pending);
             evals += e;
             dropped |= d;
-            let class = self.classify_word(target, gw, &sb.planes);
+            let class = Self::classify_word(index, gw, sb);
             sb.undo(&gw.fin);
             return (class, evals, dropped);
         }
@@ -1079,7 +1152,7 @@ impl CompiledNetlist {
         let (e, d) = self.propagate(sb, &gw.fin, forced, pending);
         evals += e;
         dropped |= d;
-        let class = self.classify_word(target, gw, &sb.planes);
+        let class = Self::classify_word(index, gw, sb);
         sb.undo(&gw.fin);
         (class, evals, dropped)
     }
@@ -1226,17 +1299,101 @@ impl CompiledNetlist {
     }
 }
 
+/// Faults per compiled-campaign work item. A longer fault list splits
+/// into near-equal contiguous ranges, so one stimulus word becomes
+/// several parallel, separately journaled items. The plan depends only
+/// on the campaign, never on the thread count, so a journal resumes
+/// under any thread count.
+const FAULTS_PER_ITEM: usize = 16_384;
+
+/// The contiguous fault ranges every stimulus word is split into:
+/// `ceil(faults / FAULTS_PER_ITEM)` of them (at least one), of
+/// near-equal length.
+fn fault_ranges(faults: usize) -> Vec<Range<usize>> {
+    let count = faults.div_ceil(FAULTS_PER_ITEM).max(1);
+    (0..count)
+        .map(|r| r * faults / count..(r + 1) * faults / count)
+        .collect()
+}
+
+/// Work items — and checkpoint-journal records — of a compiled campaign
+/// over `faults` faults and `vectors` stimulus vectors: one per
+/// (64-vector word, fault range) pair. Items are numbered word-major,
+/// so item `w * ranges + r` is range `r` of word `w`.
+#[must_use]
+pub fn campaign_items(faults: usize, vectors: usize) -> usize {
+    vectors.div_ceil(64) * fault_ranges(faults).len()
+}
+
+/// A record whose class count is not its item's range length was
+/// written under another item plan (a word-sized record of an older
+/// journal). Returns the completed-record map without such records, one
+/// warning each, so they are recomputed rather than misread; `None` when
+/// every record fits.
+fn without_misfit_records(
+    spec: &CheckpointSpec<'_>,
+    items: &[(usize, Range<usize>)],
+    warnings: &mut Vec<String>,
+) -> Option<HashMap<u64, Vec<u8>>> {
+    let mut kept: Option<HashMap<u64, Vec<u8>>> = None;
+    for (i, (_, range)) in items.iter().enumerate() {
+        let key = spec.index_base + i as u64;
+        let held = spec
+            .completed
+            .get(&key)
+            .and_then(|bytes| crate::persist::decode_word_classes(bytes))
+            .map(|c| c.len());
+        if let Some(held) = held.filter(|&h| h != range.len()) {
+            warnings.push(format!(
+                "checkpoint record {key} holds {held} fault classes, not its item's {}; \
+                 recomputing item",
+                range.len()
+            ));
+            kept.get_or_insert_with(|| spec.completed.clone())
+                .remove(&key);
+        }
+    }
+    kept
+}
+
+/// Outcome of one fault from the class bytes of all its words.
+/// Precedence mirrors the event engine: a trace error is `Detected`
+/// before any vector is classified, a definite disagreement anywhere
+/// dominates X divergence, X divergence dominates agreement.
+fn packed_outcome(fault: &GateFault, has: &[bool; 5]) -> FaultOutcome {
+    if has[usize::from(CLASS_UNKNOWN_NODE)] {
+        match *fault {
+            GateFault::NodeStuckAt { node, .. } => {
+                FaultOutcome::Detected(CircuitError::UnknownNode(node.index()))
+            }
+            _ => FaultOutcome::Detected(CircuitError::Internal {
+                detail: "unknown-node class for a non-stuck-at fault",
+            }),
+        }
+    } else if has[usize::from(CLASS_BAD_INPUT_INDEX)] {
+        FaultOutcome::Detected(CircuitError::InvalidStimulus {
+            reason: "fault input index out of range",
+        })
+    } else if has[usize::from(CLASS_CORRUPTED)] {
+        FaultOutcome::Corrupted
+    } else if has[usize::from(CLASS_X)] {
+        FaultOutcome::PropagatedAsX
+    } else {
+        FaultOutcome::Masked
+    }
+}
+
 /// [`run_campaign_resilient`](crate::faults::run_campaign_resilient)'s
 /// contract executed on the compiled bit-parallel engine: the golden
 /// planes are computed once per 64-vector stimulus word, each fault is
 /// re-evaluated per word via difference-frontier propagation with
 /// dropout, and per-fault outcomes are combined from per-word class
 /// bytes. Classifications and the resume/cache determinism contract are
-/// **byte-identical** to the event engine's; the unit of parallel work,
-/// checkpoint journaling, and interruption accounting is the stimulus
-/// *word*, so `replayed`/`computed`/`skipped` count words (not
-/// injections) and an interrupted run reports every fault slot as
-/// unresolved until resumed to completion.
+/// **byte-identical** to the event engine's. The unit of parallel work,
+/// checkpoint journaling, and interruption accounting is a (word, fault
+/// range) item — see [`campaign_items`] — so `replayed`/`computed`/
+/// `skipped` count items (not injections), and an interrupted run
+/// reports every fault slot as unresolved until resumed to completion.
 ///
 /// # Errors
 ///
@@ -1267,6 +1424,7 @@ pub fn run_campaign_packed(
         cache,
         checkpoint,
     } = options;
+    let index = FrontierIndex::new(&comp, target);
     let timer = span(rec, names::SPAN_CAMPAIGN_RUN);
     let vecs = expand_stimulus(stimulus, vectors);
     let mut warnings = Vec::new();
@@ -1304,39 +1462,49 @@ pub fn run_campaign_packed(
         }
         words
     };
+    let ranges = fault_ranges(faults.len());
+    let items: Vec<(usize, Range<usize>)> = (0..n_words)
+        .flat_map(|w| ranges.iter().map(move |r| (w, r.clone())))
+        .collect();
+    let kept = checkpoint
+        .as_ref()
+        .and_then(|spec| without_misfit_records(spec, &items, &mut warnings));
+    let checkpoint = match (checkpoint, &kept) {
+        (Some(spec), Some(completed)) => Some(CheckpointSpec { completed, ..spec }),
+        (checkpoint, _) => checkpoint,
+    };
     let gate_evals = AtomicU64::new(golden_evals);
     let dropouts = AtomicU64::new(0);
-    let words_done = AtomicU64::new(0);
-    let lanes_done = AtomicU64::new(0);
-    let word_items: Vec<usize> = (0..n_words).collect();
+    let word_ran: Vec<AtomicBool> = (0..n_words).map(|_| AtomicBool::new(false)).collect();
+    let injections_done = AtomicU64::new(0);
     let out = run_checkpointed(
         policy,
         &fault,
         rec,
-        &word_items,
+        &items,
         checkpoint,
         |c: &Vec<u8>| crate::persist::encode_word_classes(c),
-        |bytes| crate::persist::decode_word_classes(bytes).filter(|c| c.len() == faults.len()),
-        |_, &w, token| {
-            let gw = &golden_words[w];
+        crate::persist::decode_word_classes,
+        |_, (w, range), token| {
+            let gw = &golden_words[*w];
             let mut sa = gw.a.as_ref().map(|ga| Scratch::new(&comp, ga));
             let mut sb = Scratch::new(&comp, &gw.fin);
-            let mut classes = Vec::with_capacity(faults.len());
+            let mut classes = Vec::with_capacity(range.len());
             let mut evals = 0u64;
             let mut drops = 0u64;
-            for f in faults {
+            for f in &faults[range.clone()] {
                 if token.is_cancelled() {
                     return ItemStatus::TimedOut;
                 }
-                let (class, e, d) = comp.fault_word_class(target, gw, &mut sa, &mut sb, f);
+                let (class, e, d) = comp.fault_word_class(target, &index, gw, &mut sa, &mut sb, f);
                 classes.push(class);
                 evals += e;
                 drops += u64::from(d);
             }
             gate_evals.fetch_add(evals, Ordering::Relaxed);
             dropouts.fetch_add(drops, Ordering::Relaxed);
-            words_done.fetch_add(1, Ordering::Relaxed);
-            lanes_done.fetch_add(gw.lanes as u64, Ordering::Relaxed);
+            word_ran[*w].store(true, Ordering::Relaxed);
+            injections_done.fetch_add((gw.lanes * range.len()) as u64, Ordering::Relaxed);
             ItemStatus::Done(classes)
         },
     );
@@ -1344,75 +1512,52 @@ pub fn run_campaign_packed(
     warnings.extend(out.warnings);
     let resolved: Option<Vec<Result<Vec<u8>, ExecError>>> = out.results.into_iter().collect();
     let reports: Vec<Option<FaultReport>> = match resolved {
-        // An interrupted run has whole words outstanding, and every fault
+        // An interrupted run has whole items outstanding, and every fault
         // needs every word — no fault slot is resolvable yet.
         None => vec![None; faults.len()],
-        Some(words) => {
-            if let Some(e) = words.iter().find_map(|r| r.as_ref().err()) {
-                // A word-level execution failure (exhausted retries or a
-                // deadline) leaves no classes for any fault over those
-                // lanes: the packed analogue of the event engine's
-                // per-injection `Errored` slots, at word granularity.
-                faults
-                    .iter()
-                    .map(|f| {
+        Some(results) => {
+            let mut reports = Vec::with_capacity(faults.len());
+            for (r, range) in ranges.iter().enumerate() {
+                let range_faults = &faults[range.clone()];
+                let words: Vec<&Result<Vec<u8>, ExecError>> =
+                    results.iter().skip(r).step_by(ranges.len()).collect();
+                if let Some(e) = words.iter().find_map(|res| res.as_ref().err()) {
+                    // An item-level execution failure (exhausted retries
+                    // or a deadline) leaves no classes for its range's
+                    // faults over that word: the packed analogue of the
+                    // event engine's per-injection `Errored` slots.
+                    reports.extend(range_faults.iter().map(|f| {
                         Some(FaultReport {
                             fault: f.clone(),
                             outcome: FaultOutcome::Errored(e.clone()),
                         })
+                    }));
+                    continue;
+                }
+                let mut has = vec![[false; 5]; range_faults.len()];
+                for classes in words.iter().filter_map(|res| res.as_ref().ok()) {
+                    for (h, &c) in has.iter_mut().zip(classes) {
+                        h[usize::from(c)] = true;
+                    }
+                }
+                reports.extend(range_faults.iter().zip(&has).map(|(f, h)| {
+                    Some(FaultReport {
+                        fault: f.clone(),
+                        outcome: packed_outcome(f, h),
                     })
-                    .collect()
-            } else {
-                let classes: Vec<Vec<u8>> = words.into_iter().filter_map(Result::ok).collect();
-                faults
-                    .iter()
-                    .enumerate()
-                    .map(|(fi, f)| {
-                        let mut has = [false; 5];
-                        for c in &classes {
-                            has[usize::from(c[fi])] = true;
-                        }
-                        // Precedence mirrors the event engine: a trace
-                        // error is `Detected` before any vector is
-                        // classified, a definite disagreement anywhere
-                        // dominates X divergence, X divergence dominates
-                        // agreement.
-                        let outcome = if has[usize::from(CLASS_UNKNOWN_NODE)] {
-                            match *f {
-                                GateFault::NodeStuckAt { node, .. } => {
-                                    FaultOutcome::Detected(CircuitError::UnknownNode(node.index()))
-                                }
-                                _ => FaultOutcome::Detected(CircuitError::Internal {
-                                    detail: "unknown-node class for a non-stuck-at fault",
-                                }),
-                            }
-                        } else if has[usize::from(CLASS_BAD_INPUT_INDEX)] {
-                            FaultOutcome::Detected(CircuitError::InvalidStimulus {
-                                reason: "fault input index out of range",
-                            })
-                        } else if has[usize::from(CLASS_CORRUPTED)] {
-                            FaultOutcome::Corrupted
-                        } else if has[usize::from(CLASS_X)] {
-                            FaultOutcome::PropagatedAsX
-                        } else {
-                            FaultOutcome::Masked
-                        };
-                        Some(FaultReport {
-                            fault: f.clone(),
-                            outcome,
-                        })
-                    })
-                    .collect()
+                }));
             }
+            reports
         }
     };
-    flush_campaign_counters(
-        rec,
-        &reports,
-        lanes_done.load(Ordering::Relaxed) * faults.len() as u64,
-    );
+    flush_campaign_counters(rec, &reports, injections_done.load(Ordering::Relaxed));
     if rec.is_enabled() {
-        rec.add(names::COMPILED_WORDS, words_done.load(Ordering::Relaxed));
+        // A word counts once, however many of its ranges ran.
+        let words = word_ran
+            .iter()
+            .filter(|r| r.load(Ordering::Relaxed))
+            .count();
+        rec.add(names::COMPILED_WORDS, words as u64);
         rec.add(
             names::COMPILED_GATE_EVALS,
             gate_evals.load(Ordering::Relaxed),
@@ -1691,6 +1836,41 @@ mod tests {
     }
 
     #[test]
+    fn packed_campaign_carries_every_touched_flip_flop_input() {
+        // A fault on `a` reaches both flip-flop data inputs through logic,
+        // so phase B must carry captured state from data nodes other than
+        // the fault site; the flip-flops are the only path to the outputs.
+        let mut n = Netlist::new();
+        let clk = n.input("clk");
+        let a = n.input("a");
+        let b = n.input("b");
+        let g = n.gate(GateKind::And2, &[a, b]).unwrap();
+        let h = n.gate(GateKind::Not, &[g]).unwrap();
+        let q1 = n.gate(GateKind::Dff, &[clk, g]).unwrap();
+        let q2 = n.gate(GateKind::Dff, &[clk, h]).unwrap();
+        let target = FaultTarget {
+            name: "carry".into(),
+            netlist: n,
+            inputs: vec![a, b],
+            outputs: vec![q1, q2],
+            clock: Some(clk),
+        };
+        let faults = stuck_faults(&target);
+        let packed = packed_outcomes(&target, &faults, 16, 3);
+        assert_eq!(packed, event_outcomes(&target, &faults, 16, 3));
+        let a0 = faults
+            .iter()
+            .position(|f| {
+                *f == GateFault::NodeStuckAt {
+                    node: a,
+                    value: Bit::Zero,
+                }
+            })
+            .unwrap();
+        assert_eq!(packed[a0], FaultOutcome::Corrupted);
+    }
+
+    #[test]
     fn packed_campaign_rejects_bridge_faults() {
         let targets = standard_targets(4).unwrap();
         let adder = &targets[0];
@@ -1746,6 +1926,81 @@ mod tests {
             reg.counter(names::CAMPAIGN_VECTORS),
             130 * faults.len() as u64
         );
+    }
+
+    #[test]
+    fn multi_range_campaign_keeps_word_and_vector_counters() {
+        // Repeating the register target's universe past one range makes
+        // every word several items; the counters must still read as one
+        // evaluation per word and `vectors` applications per fault.
+        let targets = standard_targets(4).unwrap();
+        let registers = targets.last().unwrap();
+        let one = stuck_faults(registers);
+        let faults: Vec<GateFault> = one
+            .iter()
+            .cycle()
+            .take(2 * FAULTS_PER_ITEM + 7)
+            .cloned()
+            .collect();
+        let vectors = 130;
+        assert_eq!(fault_ranges(faults.len()).len(), 3);
+        assert_eq!(campaign_items(faults.len(), vectors), 9);
+        let reg = lowvolt_obs::MetricsRegistry::new();
+        let mut src = PatternSource::random(registers.inputs.len(), 5).unwrap();
+        let run = run_campaign_packed(
+            &ExecPolicy::with_threads(2),
+            &reg,
+            registers,
+            &faults,
+            &mut src,
+            vectors,
+            CampaignOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(run.computed, 9);
+        assert_eq!(reg.counter(names::EXEC_ITEMS), 9);
+        assert_eq!(reg.counter(names::COMPILED_WORDS), 3);
+        assert_eq!(
+            reg.counter(names::CAMPAIGN_VECTORS),
+            (vectors * faults.len()) as u64
+        );
+        // Every repetition of a fault lands on the same outcome, and the
+        // gate evaluations and dropouts are the single universe's, scaled.
+        let single = lowvolt_obs::MetricsRegistry::new();
+        let mut src = PatternSource::random(registers.inputs.len(), 5).unwrap();
+        let base = run_campaign_packed(
+            &ExecPolicy::serial(),
+            &single,
+            registers,
+            &one,
+            &mut src,
+            vectors,
+            CampaignOptions::default(),
+        )
+        .unwrap();
+        for (i, r) in run.reports.iter().enumerate() {
+            assert_eq!(r, &base.reports[i % one.len()], "fault {i}");
+        }
+        assert_eq!(
+            reg.counter(names::COMPILED_FAULT_DROPOUTS) * one.len() as u64,
+            single.counter(names::COMPILED_FAULT_DROPOUTS) * faults.len() as u64
+        );
+    }
+
+    #[test]
+    fn fault_ranges_tile_the_universe_in_near_equal_parts() {
+        for n in [0, 1, FAULTS_PER_ITEM, FAULTS_PER_ITEM + 1, 80_034] {
+            let ranges = fault_ranges(n);
+            assert_eq!(ranges.len(), n.div_ceil(FAULTS_PER_ITEM).max(1));
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges[ranges.len() - 1].end, n);
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            let lens: Vec<usize> = ranges.iter().map(ExactSizeIterator::len).collect();
+            assert!(lens.iter().max().unwrap() - lens.iter().min().unwrap() <= 1);
+            assert!(lens.iter().all(|&l| l <= FAULTS_PER_ITEM));
+        }
+        assert_eq!(campaign_items(80_034, 32), 5);
+        assert_eq!(campaign_items(11_904, 4096), 64);
     }
 
     #[test]

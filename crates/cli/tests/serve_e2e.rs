@@ -242,18 +242,21 @@ fn campaign_conformance_holds_at_1_2_8_workers() {
 #[test]
 fn kill_mid_job_then_restart_resumes_byte_identically() {
     // Sweep the kill point K (completed shard rounds before SIGKILL)
-    // together with the resubmission's worker count.
+    // together with the resubmission's worker count. The job is 44
+    // rounds of 128-vector injections, so the rounds left after K = 3
+    // run far longer than it takes the kill to land after the third
+    // progress event; a shorter job could finish first.
     for (kill_after, workers) in [(1u64, 1usize), (2, 2), (3, 8)] {
         let state = state_dir(&format!("kill_{kill_after}_{workers}"));
         let request = format!(
-            "{{\"job\":\"campaign\",\"width\":4,\"vectors\":16,\"threads\":{workers},\"shard_items\":8}}"
+            "{{\"job\":\"campaign\",\"width\":4,\"vectors\":128,\"threads\":{workers},\"shard_items\":8}}"
         );
         let direct = run_cli(&[
             "campaign",
             "--width",
             "4",
             "--vectors",
-            "16",
+            "128",
             "--threads",
             &workers.to_string(),
         ]);

@@ -60,8 +60,9 @@ pub const COMPILED_FAULT_DROPOUTS: &str = "compiled.fault_dropouts";
 /// vectors).
 pub const COMPILED_GATE_EVALS: &str = "compiled.gate_evals";
 /// 64-vector stimulus words evaluated by the compiled bit-parallel
-/// engine (replayed checkpoint words are not re-evaluated and do not
-/// count).
+/// engine. A word counts once however many of its fault-range items
+/// ran; a word all of whose items were replayed from a checkpoint is
+/// not re-evaluated and does not count.
 pub const COMPILED_WORDS: &str = "compiled.words";
 
 /// Fault-campaign targets run.

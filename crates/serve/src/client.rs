@@ -46,6 +46,17 @@ pub enum Event {
     },
 }
 
+/// Opens a connection to the daemon with Nagle's algorithm off, so a
+/// short request line is not held back waiting for an ACK.
+fn connect(addr: &str) -> Result<TcpStream, JobError> {
+    let stream =
+        TcpStream::connect(addr).map_err(|e| JobError(format!("cannot connect to {addr}: {e}")))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| JobError(format!("cannot configure connection to {addr}: {e}")))?;
+    Ok(stream)
+}
+
 /// Connects to `addr`, submits one request line, and streams events to
 /// `on_event` until the final `result` arrives.
 ///
@@ -58,8 +69,7 @@ pub fn submit_line(
     request: &str,
     on_event: &mut dyn FnMut(&Event),
 ) -> Result<SubmitOutcome, JobError> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| JobError(format!("cannot connect to {addr}: {e}")))?;
+    let stream = connect(addr)?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| JobError(format!("cannot clone connection: {e}")))?;
@@ -156,8 +166,7 @@ pub fn submit_line(
 ///
 /// [`JobError`] on connection or protocol failure.
 pub fn control(addr: &str, cmd: &str) -> Result<String, JobError> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| JobError(format!("cannot connect to {addr}: {e}")))?;
+    let stream = connect(addr)?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| JobError(format!("cannot clone connection: {e}")))?;

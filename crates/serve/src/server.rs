@@ -239,6 +239,10 @@ fn send(stream: &mut TcpStream, event: &str) -> bool {
 
 fn handle_connection(state: &ServerState, stream: TcpStream) {
     state.registry.add(names::SERVE_CONNECTIONS, 1);
+    // Each job answers with several short event lines; with Nagle's
+    // algorithm on, the peer's delayed ACK holds every one after the
+    // first back for tens of milliseconds.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,

@@ -236,3 +236,27 @@ fn resubmitted_campaign_replays_the_journal_and_leaves_no_temp_files() {
     shutdown(&addr, handle);
     std::fs::remove_dir_all(&state).ok();
 }
+
+#[test]
+fn small_jobs_answer_without_a_delayed_ack_floor() {
+    // Every job answers with several short event lines. Without
+    // TCP_NODELAY on both ends, Nagle's algorithm holds each line after
+    // the first until the peer's delayed ACK, about 40 ms on Linux
+    // loopback, so even a trivial job could not finish faster.
+    let (addr, state, handle) = start("nodelay");
+    let request = "{\"job\":\"optimize\",\"threads\":1}";
+    let first = client::submit_line(&addr, request, &mut |_| {}).expect("optimize completes");
+    let mut millis: Vec<f64> = (0..9)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let out = client::submit_line(&addr, request, &mut |_| {}).expect("optimize completes");
+            assert_eq!(out.payload, first.payload);
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    millis.sort_by(f64::total_cmp);
+    eprintln!("optimize round trips (ms): {millis:?}");
+    assert!(millis[4] < 20.0, "median round trip {} ms", millis[4]);
+    shutdown(&addr, handle);
+    std::fs::remove_dir_all(&state).ok();
+}

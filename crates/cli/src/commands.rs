@@ -1424,7 +1424,7 @@ mod tests {
             "{interrupted}"
         );
         assert!(
-            interrupted.contains("stimulus word(s) pending"),
+            interrupted.contains("(word, fault range) item(s) pending"),
             "{interrupted}"
         );
         assert!(interrupted.contains("--"), "partial coverage shown");

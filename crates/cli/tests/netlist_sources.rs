@@ -93,6 +93,35 @@ fn generated_campaign_runs_on_both_engines() {
     }
 }
 
+/// The 100k-gate STA report, endpoint summaries included, is the same
+/// at any thread count.
+#[test]
+fn generated_100k_sta_is_thread_invariant() {
+    let sta = |threads: &str| {
+        let out = lowvolt()
+            .args([
+                "sta",
+                "--generate",
+                "100000",
+                "--seed",
+                "42",
+                "--threads",
+                threads,
+            ])
+            .output()
+            .expect("lowvolt runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let one = sta("1");
+    assert!(one.starts_with(b"static timing report: gen100000_s42"));
+    assert!(one == sta("2"), "--threads 1 and 2 differ");
+}
+
 #[test]
 fn circuits_catalog_lists_sources() {
     let out = lowvolt().arg("circuits").output().expect("runs");

@@ -99,8 +99,8 @@ impl Func {
 /// [`IoError::Parse`] anchored at the offending line and column.
 pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, IoError> {
     let mut b = NetBuilder::new();
-    let mut input_names: Vec<String> = Vec::new();
-    let mut output_names: Vec<String> = Vec::new();
+    let mut inputs: Vec<NodeId> = Vec::new();
+    let mut outputs: Vec<NodeId> = Vec::new();
     let mut has_dff = false;
     let mut last_line = 1;
 
@@ -129,19 +129,14 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
                     "`{IMPLICIT_CLOCK}` is reserved for the implicit DFF clock"
                 )));
             }
-            b.input(name).map_err(err)?;
-            input_names.push(name.to_string());
+            inputs.push(b.input(name).map_err(err)?);
             continue;
         }
         if let Some(rest) = strip_keyword(stmt, "OUTPUT") {
             let name = parse_parens(rest).ok_or_else(|| {
                 err("OUTPUT takes one parenthesised signal: OUTPUT(name)".to_string())
             })?;
-            if output_names.iter().any(|o| o == name) {
-                return Err(err(format!("`{name}` is declared an output twice")));
-            }
-            b.node(name);
-            output_names.push(name.to_string());
+            outputs.push(b.output(name).map_err(err)?);
             continue;
         }
 
@@ -251,7 +246,7 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
             ),
         ));
     }
-    if output_names.is_empty() {
+    if outputs.is_empty() {
         return Err(IoError::parse(
             last_line,
             1,
@@ -259,8 +254,6 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
         ));
     }
 
-    let inputs: Vec<NodeId> = input_names.iter().map(|n| b.node(n)).collect();
-    let outputs: Vec<NodeId> = output_names.iter().map(|n| b.node(n)).collect();
     let clock = has_dff.then(|| b.node(IMPLICIT_CLOCK));
     Ok(ImportedCircuit {
         name: fallback_name.to_string(),
@@ -275,7 +268,12 @@ pub fn parse_bench(fallback_name: &str, text: &str) -> Result<ImportedCircuit, I
 /// keyword case-insensitively and only when followed by `(` or
 /// whitespace (so a signal named `INPUTx` still parses as a target).
 fn strip_keyword<'a>(stmt: &'a str, keyword: &str) -> Option<&'a str> {
-    if stmt.len() < keyword.len() || !stmt[..keyword.len()].eq_ignore_ascii_case(keyword) {
+    // `get` rather than indexing: the statement may start with a
+    // multi-byte character that straddles the keyword's length.
+    if !stmt
+        .get(..keyword.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(keyword))
+    {
         return None;
     }
     let rest = &stmt[keyword.len()..];
@@ -372,6 +370,17 @@ OUTPUT(23)
         let text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a)\ny = NOT(b)\n";
         let err = parse_bench("t", text).unwrap_err();
         assert!(err.to_string().contains("driven twice"), "{err}");
+    }
+
+    #[test]
+    fn multibyte_statement_start_is_a_parse_error() {
+        // `—` is three bytes, so byte 5 (the length of `INPUT`) falls
+        // inside the second character.
+        let err = parse_bench("t", "16 — gates\nOUTPUT(y)\n").unwrap_err();
+        match err {
+            IoError::Parse { line, .. } => assert_eq!(line, 1),
+            other => panic!("expected parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use std::collections::HashMap;
 
-use lowvolt_circuit::logic::Bit;
 use lowvolt_circuit::netlist::{GateKind, Netlist, NodeId};
 
 use crate::{ImportedCircuit, IoError};
@@ -109,12 +108,21 @@ fn logical_lines(text: &str) -> Vec<Line<'_>> {
 
 /// Builder state shared by both parsers: a netlist, the name → node
 /// map (nodes created at first reference — the round-trip ordering
-/// contract), and the driven-signal set enforcing single drivers.
+/// contract), and per-node declaration flags enforcing single drivers
+/// and single input/output declarations. Every check is one hashed
+/// name lookup, so building is linear in the netlist.
 pub(crate) struct NetBuilder {
     pub netlist: Netlist,
     nodes: HashMap<String, NodeId>,
-    driven: Vec<bool>,
-    declared_input: Vec<bool>,
+    decl: Vec<Decl>,
+}
+
+/// How one node has been declared so far.
+#[derive(Clone, Copy, Default)]
+struct Decl {
+    driven: bool,
+    input: bool,
+    output: bool,
 }
 
 impl NetBuilder {
@@ -122,9 +130,14 @@ impl NetBuilder {
         NetBuilder {
             netlist: Netlist::new(),
             nodes: HashMap::new(),
-            driven: Vec::new(),
-            declared_input: Vec::new(),
+            decl: Vec::new(),
         }
+    }
+
+    /// Records a freshly created node under `name`.
+    fn register(&mut self, name: String, id: NodeId, decl: Decl) {
+        self.nodes.insert(name, id);
+        self.decl.push(decl);
     }
 
     /// The node for `name`, created as a plain node on first reference.
@@ -133,9 +146,7 @@ impl NetBuilder {
             return id;
         }
         let id = self.netlist.node(name);
-        self.nodes.insert(name.to_string(), id);
-        self.driven.push(false);
-        self.declared_input.push(false);
+        self.register(name.to_string(), id, Decl::default());
         id
     }
 
@@ -143,10 +154,11 @@ impl NetBuilder {
     /// by a gate or already declared.
     pub(crate) fn input(&mut self, name: &str) -> Result<NodeId, String> {
         if let Some(&id) = self.nodes.get(name) {
-            if self.declared_input[id.index()] {
+            let decl = self.decl[id.index()];
+            if decl.input {
                 return Err(format!("`{name}` is declared an input twice"));
             }
-            if self.driven[id.index()] {
+            if decl.driven {
                 return Err(format!("`{name}` is both a gate output and an input"));
             }
             // The node exists but was only referenced; netlists cannot
@@ -155,10 +167,23 @@ impl NetBuilder {
             return Err(format!("`{name}` was used before its input declaration"));
         }
         let id = self.netlist.input(name);
-        self.nodes.insert(name.to_string(), id);
-        self.driven.push(false);
-        self.declared_input.push(false);
-        self.declared_input[id.index()] = true;
+        let decl = Decl {
+            input: true,
+            ..Decl::default()
+        };
+        self.register(name.to_string(), id, decl);
+        Ok(id)
+    }
+
+    /// Declares `name` a primary output, creating its node on first
+    /// reference. Errors if it is already declared an output.
+    pub(crate) fn output(&mut self, name: &str) -> Result<NodeId, String> {
+        let id = self.node(name);
+        let decl = &mut self.decl[id.index()];
+        if decl.output {
+            return Err(format!("`{name}` is declared an output twice"));
+        }
+        decl.output = true;
         Ok(id)
     }
 
@@ -166,13 +191,14 @@ impl NetBuilder {
     /// drive fights with declared inputs. Returns the node.
     pub(crate) fn drive(&mut self, name: &str) -> Result<NodeId, String> {
         let id = self.node(name);
-        if self.declared_input[id.index()] {
+        let decl = &mut self.decl[id.index()];
+        if decl.input {
             return Err(format!("`{name}` is a declared input and cannot be driven"));
         }
-        if self.driven[id.index()] {
+        if decl.driven {
             return Err(format!("`{name}` is driven twice"));
         }
-        self.driven[id.index()] = true;
+        decl.driven = true;
         Ok(id)
     }
 
@@ -191,9 +217,11 @@ impl NetBuilder {
                 "auto-generated name `{name}` collides with an existing signal"
             ));
         }
-        self.nodes.insert(name, out);
-        self.driven.push(true);
-        self.declared_input.push(false);
+        let decl = Decl {
+            driven: true,
+            ..Decl::default()
+        };
+        self.register(name, out, decl);
         Ok(out)
     }
 
@@ -207,7 +235,8 @@ impl NetBuilder {
     pub(crate) fn undriven(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
         for (name, &id) in &self.nodes {
-            if !self.driven[id.index()] && !self.declared_input[id.index()] {
+            let decl = self.decl[id.index()];
+            if !decl.driven && !decl.input {
                 out.push(name.clone());
             }
         }
@@ -216,84 +245,76 @@ impl NetBuilder {
     }
 }
 
-/// A `.names` cover: input names, output name, and the cube rows.
-struct Cover {
-    line_no: usize,
-    column: usize,
-    inputs: Vec<String>,
-    output: String,
-    /// `(input plane, output bit)` rows; the plane uses `0`/`1`/`-`.
-    rows: Vec<(String, char)>,
+/// One cube of a cover as bitmasks over its inputs: bit `i` of `care`
+/// is set where input `i` is a literal (`0` or `1`), and bit `i` of
+/// `ones` where that literal is `1`.
+#[derive(Clone, Copy)]
+struct Cube {
+    care: u32,
+    ones: u32,
 }
 
-/// Library gates eligible for truth-table matching, grouped by arity.
-/// Order is fixed: it decides which kind a matching cover becomes, and
-/// the writer's canonical covers land on these same entries.
-const MATCH_1: [GateKind; 2] = [GateKind::Buf, GateKind::Not];
-const MATCH_2: [GateKind; 6] = [
-    GateKind::And2,
-    GateKind::Or2,
-    GateKind::Nand2,
-    GateKind::Nor2,
-    GateKind::Xor2,
-    GateKind::Xnor2,
+const _: () = assert!(MAX_COVER_FANIN <= u32::BITS as usize);
+
+/// A `.names` cover: input names and output name borrowed from the
+/// text, and the cube rows.
+struct Cover<'t> {
+    line_no: usize,
+    column: usize,
+    inputs: Vec<&'t str>,
+    output: &'t str,
+    /// The rows' input planes. Kept only while the fanin fits a
+    /// [`Cube`]; a wider cover is refused before its rows are read.
+    cubes: Vec<Cube>,
+    /// The first row's output bit: `true` for an on-set cover.
+    on_set: Option<bool>,
+    /// Whether a later row's output bit differs from the first's.
+    mixed: bool,
+}
+
+/// Library gates eligible for truth-table matching, grouped by arity,
+/// with their truth tables (bit `idx` = the output for the input
+/// assignment `idx`, bit `i` of `idx` = input `i`). Order is fixed: it
+/// decides which kind a matching cover becomes, and the writer's
+/// canonical covers land on these same entries.
+const MATCH_1: [(GateKind, u64); 2] = [(GateKind::Buf, 0b10), (GateKind::Not, 0b01)];
+const MATCH_2: [(GateKind, u64); 6] = [
+    (GateKind::And2, 0b1000),
+    (GateKind::Or2, 0b1110),
+    (GateKind::Nand2, 0b0111),
+    (GateKind::Nor2, 0b0001),
+    (GateKind::Xor2, 0b0110),
+    (GateKind::Xnor2, 0b1001),
 ];
-const MATCH_3: [GateKind; 5] = [
-    GateKind::And3,
-    GateKind::Or3,
-    GateKind::Nand3,
-    GateKind::Nor3,
-    GateKind::Mux2,
+const MATCH_3: [(GateKind, u64); 5] = [
+    (GateKind::And3, 0x80),
+    (GateKind::Or3, 0xfe),
+    (GateKind::Nand3, 0x7f),
+    (GateKind::Nor3, 0x01),
+    // inputs [sel, a, b]: a when sel=0, b when sel=1.
+    (GateKind::Mux2, 0xe4),
 ];
 
 /// The truth table of a cover over `n ≤ 6` inputs as a bitmap indexed
 /// by the input assignment (bit `i` of the index = input `i`).
-fn cover_truth_table(n: usize, rows: &[(String, char)], phase: bool) -> u64 {
+fn cover_truth_table(n: usize, cubes: &[Cube], on_set: bool) -> u64 {
     let mut on = 0u64;
-    for idx in 0..(1u64 << n) {
-        let covered = rows.iter().any(|(plane, _)| {
-            plane.chars().enumerate().all(|(i, c)| match c {
-                '1' => idx >> i & 1 == 1,
-                '0' => idx >> i & 1 == 0,
-                _ => true,
-            })
-        });
-        if covered {
+    for idx in 0..(1u32 << n) {
+        if cubes.iter().any(|c| idx & c.care == c.ones) {
             on |= 1 << idx;
         }
     }
-    if phase {
+    if on_set {
         on
     } else {
         !on & ((1u64 << (1u64 << n)) - 1)
     }
 }
 
-/// The truth table of a library gate over its arity.
-fn kind_truth_table(kind: GateKind) -> u64 {
-    let n = kind.arity();
-    let mut on = 0u64;
-    for idx in 0..(1u64 << n) {
-        let bits: Vec<Bit> = (0..n)
-            .map(|i| {
-                if idx >> i & 1 == 1 {
-                    Bit::One
-                } else {
-                    Bit::Zero
-                }
-            })
-            .collect();
-        if kind.evaluate(&bits) == Bit::One {
-            on |= 1 << idx;
-        }
-    }
-    on
-}
-
 /// Builds the gates for one cover: a single library gate when the truth
 /// table matches, otherwise an SOP decomposition. `err` converts a
 /// message into a positioned parse error.
-fn build_cover(b: &mut NetBuilder, cover: &Cover) -> Result<(), IoError> {
+fn build_cover(b: &mut NetBuilder, cover: &Cover<'_>) -> Result<(), IoError> {
     let err = |msg: String| IoError::parse(cover.line_no, cover.column, msg);
     let n = cover.inputs.len();
     if n == 0 {
@@ -308,31 +329,33 @@ fn build_cover(b: &mut NetBuilder, cover: &Cover) -> Result<(), IoError> {
             "cover fanin {n} exceeds the supported maximum {MAX_COVER_FANIN}"
         )));
     }
-    if cover.rows.is_empty() {
+    let Some(phase) = cover.on_set else {
         return Err(err(format!(
             "cover for `{}` has inputs but no cubes",
             cover.output
         )));
-    }
-    let phase = cover.rows[0].1 == '1';
-    if cover.rows.iter().any(|&(_, out)| (out == '1') != phase) {
+    };
+    if cover.mixed {
         return Err(err("cover mixes on-set and off-set rows".to_string()));
     }
 
     // Fast path: small covers that compute exactly a library function
     // become one gate, preserving the cover's input order.
     if n <= 3 {
-        let tt = cover_truth_table(n, &cover.rows, phase);
-        let candidates: &[GateKind] = match n {
+        let tt = cover_truth_table(n, &cover.cubes, phase);
+        let candidates: &[(GateKind, u64)] = match n {
             1 => &MATCH_1,
             2 => &MATCH_2,
             _ => &MATCH_3,
         };
-        if let Some(&kind) = candidates.iter().find(|&&k| kind_truth_table(k) == tt) {
-            let ins: Vec<NodeId> = cover.inputs.iter().map(|s| b.node(s)).collect();
-            let out = b.drive(&cover.output).map_err(err)?;
+        if let Some(&(kind, _)) = candidates.iter().find(|&&(_, t)| t == tt) {
+            let mut ins = [NodeId::from_index(0); 3];
+            for (slot, name) in ins.iter_mut().zip(&cover.inputs) {
+                *slot = b.node(name);
+            }
+            let out = b.drive(cover.output).map_err(err)?;
             b.netlist
-                .gate_into(kind, &ins, out)
+                .gate_into(kind, &ins[..n], out)
                 .map_err(|e| err(e.to_string()))?;
             return Ok(());
         }
@@ -341,44 +364,41 @@ fn build_cover(b: &mut NetBuilder, cover: &Cover) -> Result<(), IoError> {
     // General path: SOP decomposition. Literals are resolved lazily so
     // node-creation order is the sub-gate reference order — the same
     // order a re-parse of the written form produces.
-    let mut inverters: HashMap<usize, NodeId> = HashMap::new();
-    let mut cube_nodes: Vec<NodeId> = Vec::with_capacity(cover.rows.len());
-    for (plane, _) in &cover.rows {
-        if plane.chars().all(|c| c == '-') {
+    let mut inverters: [Option<NodeId>; MAX_COVER_FANIN] = [None; MAX_COVER_FANIN];
+    let mut cube_nodes: Vec<NodeId> = Vec::with_capacity(cover.cubes.len());
+    let mut literals: Vec<NodeId> = Vec::with_capacity(n);
+    for cube in &cover.cubes {
+        if cube.care == 0 {
             return Err(err(format!(
-                "cube `{plane}` covers every assignment, making `{}` constant \
+                "cube `{}` covers every assignment, making `{}` constant \
                  — constants are not supported",
+                "-".repeat(n),
                 cover.output
             )));
         }
-        let mut literals: Vec<NodeId> = Vec::new();
-        for (i, c) in plane.chars().enumerate() {
-            match c {
-                '-' => {}
-                '1' => literals.push(b.node(&cover.inputs[i])),
-                '0' => {
-                    let lit = match inverters.get(&i) {
-                        Some(&inv) => inv,
-                        None => {
-                            let base = b.node(&cover.inputs[i]);
-                            let inv = b.synth_gate(GateKind::Not, &[base]).map_err(err)?;
-                            inverters.insert(i, inv);
-                            inv
-                        }
-                    };
-                    literals.push(lit);
-                }
-                other => {
-                    return Err(err(format!("invalid cube character `{other}`")));
-                }
+        literals.clear();
+        for (i, name) in cover.inputs.iter().enumerate() {
+            if cube.care >> i & 1 == 0 {
+                continue;
             }
+            let lit = if cube.ones >> i & 1 == 1 {
+                b.node(name)
+            } else if let Some(inv) = inverters[i] {
+                inv
+            } else {
+                let base = b.node(name);
+                let inv = b.synth_gate(GateKind::Not, &[base]).map_err(err)?;
+                inverters[i] = Some(inv);
+                inv
+            };
+            literals.push(lit);
         }
         let cube = fold_chain(b, GateKind::And2, &literals).map_err(err)?;
         cube_nodes.push(cube);
     }
     // OR the cubes; invert for off-set covers; the last gate drives the
     // declared output node directly.
-    let out = b.drive(&cover.output).map_err(err)?;
+    let out = b.drive(cover.output).map_err(err)?;
     let sum = if cube_nodes.len() == 1 {
         cube_nodes[0]
     } else {
@@ -402,6 +422,14 @@ fn build_cover(b: &mut NetBuilder, cover: &Cover) -> Result<(), IoError> {
         .gate_into(final_kind, &[sum], out)
         .map_err(|e| err(e.to_string()))?;
     Ok(())
+}
+
+/// Builds and clears the pending cover, if any.
+fn flush_cover(b: &mut NetBuilder, pending: &mut Option<Cover<'_>>) -> Result<(), IoError> {
+    match pending.take() {
+        Some(cover) => build_cover(b, &cover),
+        None => Ok(()),
+    }
 }
 
 /// Left-folds `nodes` into a chain of 2-input gates; a single node is
@@ -444,24 +472,18 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
     let lines = logical_lines(text);
     let mut name: Option<String> = None;
     let mut b = NetBuilder::new();
-    let mut input_names: Vec<String> = Vec::new();
-    let mut output_names: Vec<String> = Vec::new();
-    let mut clock_name: Option<String> = None;
-    let mut pending_cover: Option<Cover> = None;
+    let mut inputs: Vec<NodeId> = Vec::new();
+    let mut outputs: Vec<NodeId> = Vec::new();
+    let mut clock_name: Option<&str> = None;
+    let mut pending_cover: Option<Cover<'_>> = None;
     let mut saw_end = false;
-
-    let flush_cover = |b: &mut NetBuilder, pending: &mut Option<Cover>| match pending.take() {
-        Some(cover) => build_cover(b, &cover),
-        None => Ok(()),
-    };
 
     for line in &lines {
         let text = line.text().trim();
-        if text.is_empty() {
+        let mut tokens = text.split_whitespace();
+        let Some(first) = tokens.next() else {
             continue;
-        }
-        let tokens: Vec<&str> = text.split_whitespace().collect();
-        let first = tokens[0];
+        };
         let col = line.column_of(first);
         if saw_end && first.starts_with('.') {
             return Err(IoError::parse(
@@ -482,58 +504,52 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                 }
                 name = Some(
                     tokens
-                        .get(1)
+                        .next()
                         .map_or_else(|| fallback_name.to_string(), ToString::to_string),
                 );
             }
             ".inputs" => {
                 flush_cover(&mut b, &mut pending_cover)?;
-                for t in &tokens[1..] {
-                    b.input(t)
+                for t in tokens {
+                    let id = b
+                        .input(t)
                         .map_err(|m| IoError::parse(line.line_no, line.column_of(t), m))?;
-                    input_names.push((*t).to_string());
+                    inputs.push(id);
                 }
             }
             ".outputs" => {
                 flush_cover(&mut b, &mut pending_cover)?;
-                for t in &tokens[1..] {
-                    if output_names.iter().any(|o| o == t) {
-                        return Err(IoError::parse(
-                            line.line_no,
-                            line.column_of(t),
-                            format!("`{t}` is declared an output twice"),
-                        ));
-                    }
-                    b.node(t);
-                    output_names.push((*t).to_string());
+                for t in tokens {
+                    let id = b
+                        .output(t)
+                        .map_err(|m| IoError::parse(line.line_no, line.column_of(t), m))?;
+                    outputs.push(id);
                 }
             }
             ".names" => {
                 flush_cover(&mut b, &mut pending_cover)?;
-                if tokens.len() < 2 {
+                let mut signals: Vec<&str> = tokens.collect();
+                let Some(output) = signals.pop() else {
                     return Err(IoError::parse(
                         line.line_no,
                         col,
                         ".names needs at least an output signal",
                     ));
-                }
-                let output = tokens[tokens.len() - 1].to_string();
-                let inputs = tokens[1..tokens.len() - 1]
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
+                };
                 pending_cover = Some(Cover {
                     line_no: line.line_no,
                     column: col,
-                    inputs,
+                    inputs: signals,
                     output,
-                    rows: Vec::new(),
+                    cubes: Vec::new(),
+                    on_set: None,
+                    mixed: false,
                 });
             }
             ".latch" => {
                 flush_cover(&mut b, &mut pending_cover)?;
                 // .latch input output [type control] [init-val]
-                let rest = &tokens[1..];
+                let rest: Vec<&str> = tokens.collect();
                 if rest.len() < 2 {
                     return Err(IoError::parse(
                         line.line_no,
@@ -541,7 +557,7 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                         ".latch needs an input and an output signal",
                     ));
                 }
-                let (d, q) = (rest[0].to_string(), rest[1].to_string());
+                let (d, q) = (rest[0], rest[1]);
                 let control = match rest.len() {
                     2 | 3 => None, // optional trailing init only
                     4 | 5 => Some((rest[2], rest[3])),
@@ -554,7 +570,7 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                     }
                 };
                 let clk = match control {
-                    Some(("re", clk)) => clk.to_string(),
+                    Some(("re", clk)) => clk,
                     Some((ty, _)) => {
                         return Err(IoError::parse(
                             line.line_no,
@@ -571,8 +587,8 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                         ))
                     }
                 };
-                match clock_name.as_deref() {
-                    None => clock_name = Some(clk.clone()),
+                match clock_name {
+                    None => clock_name = Some(clk),
                     Some(existing) if existing == clk => {}
                     Some(existing) => {
                         return Err(IoError::parse(
@@ -587,10 +603,10 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                 }
                 // Build immediately (reference order: d, clk, q) so gate
                 // order matches statement order.
-                let dn = b.node(&d);
-                let cn = b.node(&clk);
+                let dn = b.node(d);
+                let cn = b.node(clk);
                 let qn = b
-                    .drive(&q)
+                    .drive(q)
                     .map_err(|m| IoError::parse(line.line_no, col, m))?;
                 b.netlist
                     .gate_into(GateKind::Dff, &[cn, dn], qn)
@@ -623,9 +639,9 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                         format!("`{first}` outside any .names cover"),
                     ));
                 };
-                let (plane, out) = match tokens.as_slice() {
-                    [plane, out] => ((*plane).to_string(), *out),
-                    [single] if cover.inputs.is_empty() => (String::new(), *single),
+                let (plane, out) = match (tokens.next(), tokens.next()) {
+                    (Some(out), None) => (first, out),
+                    (None, _) if cover.inputs.is_empty() => ("", first),
                     _ => {
                         return Err(IoError::parse(
                             line.line_no,
@@ -645,9 +661,9 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                         ),
                     ));
                 }
-                let out_bit = match out {
-                    "1" => '1',
-                    "0" => '0',
+                let on = match out {
+                    "1" => true,
+                    "0" => false,
                     other => {
                         return Err(IoError::parse(
                             line.line_no,
@@ -663,7 +679,22 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
                         format!("invalid cube character `{bad}` (expected 0, 1, or -)"),
                     ));
                 }
-                cover.rows.push((plane, out_bit));
+                match cover.on_set {
+                    None => cover.on_set = Some(on),
+                    Some(first_on) => cover.mixed |= first_on != on,
+                }
+                if plane.len() <= MAX_COVER_FANIN {
+                    let mut cube = Cube { care: 0, ones: 0 };
+                    for (i, c) in plane.bytes().enumerate() {
+                        if c != b'-' {
+                            cube.care |= 1 << i;
+                        }
+                        if c == b'1' {
+                            cube.ones |= 1 << i;
+                        }
+                    }
+                    cover.cubes.push(cube);
+                }
             }
         }
     }
@@ -685,13 +716,9 @@ pub fn parse_blif(fallback_name: &str, text: &str) -> Result<ImportedCircuit, Io
         ));
     }
 
-    let inputs: Vec<NodeId> = input_names
-        .iter()
-        .filter(|n| Some(n.as_str()) != clock_name.as_deref())
-        .map(|n| b.node(n))
-        .collect();
-    let outputs: Vec<NodeId> = output_names.iter().map(|n| b.node(n)).collect();
-    let clock = clock_name.as_deref().map(|n| b.node(n));
+    // The clock is a declared input, but not a stimulus one.
+    let clock = clock_name.map(|n| b.node(n));
+    inputs.retain(|&id| Some(id) != clock);
     Ok(ImportedCircuit {
         name: name.unwrap_or_else(|| fallback_name.to_string()),
         netlist: b.netlist,
@@ -815,6 +842,7 @@ pub fn write_blif(circuit: &ImportedCircuit) -> Result<String, IoError> {
 mod tests {
     use super::*;
     use crate::circuits_equivalent;
+    use lowvolt_circuit::logic::Bit;
 
     #[test]
     fn parses_simple_and() {
@@ -862,6 +890,29 @@ mod tests {
             let c = parse_blif("m", &text).unwrap();
             assert_eq!(c.netlist.gate_count(), 1, "{}", kind.name());
             assert_eq!(c.netlist.gates()[0].kind, kind, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn match_tables_are_the_library_truth_tables() {
+        for &(kind, table) in MATCH_1.iter().chain(&MATCH_2).chain(&MATCH_3) {
+            let n = kind.arity();
+            let mut on = 0u64;
+            for idx in 0..(1u64 << n) {
+                let bits: Vec<Bit> = (0..n)
+                    .map(|i| {
+                        if idx >> i & 1 == 1 {
+                            Bit::One
+                        } else {
+                            Bit::Zero
+                        }
+                    })
+                    .collect();
+                if kind.evaluate(&bits) == Bit::One {
+                    on |= 1 << idx;
+                }
+            }
+            assert_eq!(table, on, "{}", kind.name());
         }
     }
 

@@ -416,9 +416,16 @@ pub fn run_campaign_job(
             policy.threads()
         ),
     };
+    // The journal item, the unit `--interrupt-after` and the checkpoint
+    // and interrupt lines count.
+    let unit = match spec.engine {
+        Engine::Event => "injection",
+        Engine::Compiled => "(word, fault range) item",
+    };
     if spec.engine == Engine::Compiled {
         out.push_str(
-            "engine: compiled (bit-parallel levelized; checkpoint unit = 64-vector word)\n",
+            "engine: compiled (bit-parallel levelized; \
+             checkpoint unit = (64-vector word, fault range) item)\n",
         );
     }
 
@@ -551,7 +558,7 @@ pub fn run_campaign_job(
             if let (Some(path), Some((_, completed))) = (persist.checkpoint, &journal_state) {
                 if persist.announce {
                     out.push_str(&format!(
-                        "checkpoint: {path} ({} completed injection(s) on file)\n",
+                        "checkpoint: {path} ({} completed {unit}(s) on file)\n",
                         completed.len()
                     ));
                 }
@@ -579,10 +586,6 @@ pub fn run_campaign_job(
             payload_warnings.extend(round.warnings);
             out.push_str(&round.table.to_string());
             if round.skipped > 0 {
-                let unit = match spec.engine {
-                    Engine::Event => "injection",
-                    Engine::Compiled => "stimulus word",
-                };
                 out.push_str(&format!(
                     "\ncampaign interrupted: {} {unit}(s) pending; \
                      rerun with --resume --checkpoint to finish\n",

@@ -6,7 +6,7 @@ use crate::StaError;
 use lowvolt_circuit::compiled::CompiledNetlist;
 use lowvolt_circuit::netlist::{Netlist, NodeId};
 use lowvolt_device::units::{Seconds, Volts};
-use lowvolt_exec::{parallel_map_recorded, ExecPolicy};
+use lowvolt_exec::ExecPolicy;
 use lowvolt_obs::{names, span, Recorder};
 
 /// Nominal operating supply used by defaults across the toolkit.
@@ -55,6 +55,10 @@ impl StaConfig {
 /// Runs static timing analysis with the paper-default delay pricing
 /// (ring-oscillator drive/load constants, load scaled by fanout).
 ///
+/// The analysis is two linear sweeps and runs on the calling thread;
+/// `policy` is accepted so callers keep one signature across the
+/// toolkit's analyses, and it does not change the report.
+///
 /// # Errors
 ///
 /// Returns [`StaError::Circuit`] when the netlist cannot be levelized
@@ -89,13 +93,14 @@ pub fn analyze(
 /// delays are legal and mark the operating point infeasible for every
 /// endpoint they reach. `config.vdd` / `config.vt` are carried into the
 /// report as labels only — the pricing closure is the authority.
+/// `_policy` is unused, as in [`analyze`].
 ///
 /// # Errors
 ///
 /// Propagates [`StaError::Circuit`] from levelization, pricing errors
 /// from `price`, and [`StaError::NoEndpoints`].
 pub fn analyze_priced(
-    policy: &ExecPolicy,
+    _policy: &ExecPolicy,
     rec: &dyn Recorder,
     target_name: &str,
     netlist: &Netlist,
@@ -116,28 +121,13 @@ pub fn analyze_priced(
         delay.push(price(comp.gate_source(p), comp.node_fanout(out))?.0);
     }
 
-    // Forward pass: latest arrival per node, with the worst-input
-    // predecessor recorded for path backtracing. Ties keep the first
-    // (lowest-slot) input, which makes the trace thread-invariant.
-    let mut arrival = vec![0.0f64; nodes];
-    let mut pred = vec![u32::MAX; nodes];
-    let mut driver = vec![u32::MAX; nodes];
-    for (p, &gate_delay) in delay.iter().enumerate() {
-        let ins = comp.gate_inputs(p);
-        let arity = comp.gate_kind(p).arity();
-        let mut worst = ins[0];
-        let mut worst_t = arrival[ins[0]];
-        for &i in &ins[1..arity] {
-            if arrival[i] > worst_t {
-                worst_t = arrival[i];
-                worst = i;
-            }
-        }
-        let out = comp.gate_output(p);
-        arrival[out] = worst_t + gate_delay;
-        pred[out] = worst as u32;
-        driver[out] = p as u32;
-    }
+    let Forward {
+        arrival,
+        pred,
+        driver,
+        depth,
+        start,
+    } = forward(&comp, &delay);
 
     // Endpoints: declared primary outputs first, then register data
     // pins, deduplicated, netlist order within each group.
@@ -205,26 +195,29 @@ pub fn analyze_priced(
         }
     }
 
-    // Per-endpoint worst-path summaries, one work item per endpoint.
-    // Results come back input-ordered regardless of thread count.
-    let summaries = parallel_map_recorded(policy, rec, &endpoints, |_, &(n, kind)| {
-        let (depth, start) = backtrace(&pred, &driver, n);
-        let slack = if arrival[n].is_finite() {
-            required_t - arrival[n]
-        } else {
-            f64::NEG_INFINITY
-        };
-        EndpointSummary {
-            node: netlist.node_name(NodeId::from_index(n)).to_owned(),
-            node_index: n,
-            kind,
-            arrival: Seconds(arrival[n]),
-            required: Seconds(required_t),
-            slack: Seconds(slack),
-            depth,
-            startpoint: netlist.node_name(NodeId::from_index(start)).to_owned(),
-        }
-    });
+    // Per-endpoint worst-path summaries, read off the forward sweep.
+    let summaries: Vec<EndpointSummary> = endpoints
+        .iter()
+        .map(|&(n, kind)| {
+            let slack = if arrival[n].is_finite() {
+                required_t - arrival[n]
+            } else {
+                f64::NEG_INFINITY
+            };
+            EndpointSummary {
+                node: netlist.node_name(NodeId::from_index(n)).to_owned(),
+                node_index: n,
+                kind,
+                arrival: Seconds(arrival[n]),
+                required: Seconds(required_t),
+                slack: Seconds(slack),
+                depth: depth[n] as usize,
+                startpoint: netlist
+                    .node_name(NodeId::from_index(start[n] as usize))
+                    .to_owned(),
+            }
+        })
+        .collect();
     let worst_slack = summaries
         .iter()
         .map(|s| s.slack.0)
@@ -274,23 +267,215 @@ pub fn analyze_priced(
     })
 }
 
-/// Walks the worst-input chain from `n` back to its startpoint.
-/// Gate levels strictly decrease along the chain, so this terminates.
-fn backtrace(pred: &[u32], driver: &[u32], n: usize) -> (usize, usize) {
-    let mut depth = 0usize;
-    let mut cur = n;
-    while driver[cur] != u32::MAX {
-        depth += 1;
-        cur = pred[cur] as usize;
+/// The forward sweep's per-node results.
+struct Forward {
+    /// Latest arrival time.
+    arrival: Vec<f64>,
+    /// The driving gate's worst (latest-arriving) input; `u32::MAX` for
+    /// undriven nodes.
+    pred: Vec<u32>,
+    /// The driving compiled gate; `u32::MAX` for undriven nodes.
+    driver: Vec<u32>,
+    /// Gates on the worst path ending at the node.
+    depth: Vec<u32>,
+    /// Where that worst path starts: an undriven node (primary input,
+    /// register output or floating wire).
+    start: Vec<u32>,
+}
+
+/// Forward pass: latest arrival per node, with the worst input recorded
+/// as the predecessor and the worst path's depth and startpoint carried
+/// along with it, so no endpoint needs a backtrace. Ties keep the first
+/// (lowest-slot) input. Undriven nodes start their own paths at depth
+/// 0. Compiled order is level-ascending, so every input is final before
+/// a gate reads it.
+fn forward(comp: &CompiledNetlist, delay: &[f64]) -> Forward {
+    let nodes = comp.node_count();
+    let mut arrival = vec![0.0f64; nodes];
+    let mut pred = vec![u32::MAX; nodes];
+    let mut driver = vec![u32::MAX; nodes];
+    let mut depth = vec![0u32; nodes];
+    let mut start: Vec<u32> = (0..nodes as u32).collect();
+    for (p, &gate_delay) in delay.iter().enumerate() {
+        let ins = comp.gate_inputs(p);
+        let arity = comp.gate_kind(p).arity();
+        let mut worst = ins[0];
+        let mut worst_t = arrival[ins[0]];
+        for &i in &ins[1..arity] {
+            if arrival[i] > worst_t {
+                worst_t = arrival[i];
+                worst = i;
+            }
+        }
+        let out = comp.gate_output(p);
+        arrival[out] = worst_t + gate_delay;
+        pred[out] = worst as u32;
+        driver[out] = p as u32;
+        depth[out] = depth[worst] + 1;
+        start[out] = start[worst];
     }
-    (depth, cur)
+    Forward {
+        arrival,
+        pred,
+        driver,
+        depth,
+        start,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowvolt_circuit::faults::standard_targets;
     use lowvolt_circuit::netlist::GateKind;
+    use lowvolt_io::{generate, GeneratorConfig};
     use lowvolt_obs::noop;
+    use proptest::prelude::*;
+
+    /// The per-endpoint walk the forward sweep replaced, kept as its
+    /// oracle: follow the worst-input chain from `n` back to its
+    /// startpoint. Gate levels strictly decrease along the chain, so
+    /// this terminates.
+    fn backtrace(pred: &[u32], driver: &[u32], n: usize) -> (usize, usize) {
+        let mut depth = 0usize;
+        let mut cur = n;
+        while driver[cur] != u32::MAX {
+            depth += 1;
+            cur = pred[cur] as usize;
+        }
+        (depth, cur)
+    }
+
+    /// Checks the swept (depth, startpoint) of every node, and the
+    /// report's of every endpoint, against [`backtrace`].
+    fn assert_sweep_matches_backtrace(
+        name: &str,
+        netlist: &Netlist,
+        outputs: &[NodeId],
+        price: &dyn Fn(usize, usize) -> Result<Seconds, StaError>,
+    ) {
+        let report = analyze_priced(
+            &ExecPolicy::serial(),
+            noop(),
+            name,
+            netlist,
+            outputs,
+            StaConfig::nominal(),
+            price,
+        )
+        .unwrap();
+        let comp = CompiledNetlist::compile(netlist).unwrap();
+        let delay: Vec<f64> = (0..comp.gate_count())
+            .map(|p| {
+                let fanout = comp.node_fanout(comp.gate_output(p));
+                price(comp.gate_source(p), fanout).unwrap().0
+            })
+            .collect();
+        let fwd = forward(&comp, &delay);
+        for n in 0..comp.node_count() {
+            let swept = (fwd.depth[n] as usize, fwd.start[n] as usize);
+            assert_eq!(
+                swept,
+                backtrace(&fwd.pred, &fwd.driver, n),
+                "{name}: node {n}"
+            );
+        }
+        assert!(!report.endpoints.is_empty(), "{name}");
+        for e in &report.endpoints {
+            let (depth, start) = backtrace(&fwd.pred, &fwd.driver, e.node_index);
+            assert_eq!(e.depth, depth, "{name}: endpoint {}", e.node);
+            assert_eq!(
+                e.startpoint,
+                netlist.node_name(NodeId::from_index(start)),
+                "{name}: endpoint {}",
+                e.node
+            );
+        }
+    }
+
+    fn paper_price(_: usize, fanout: usize) -> Result<Seconds, StaError> {
+        DelayPricer::paper_default().delay(NOMINAL_VDD, NOMINAL_VT, fanout)
+    }
+
+    #[test]
+    fn swept_endpoints_match_backtrace_on_the_datapaths() {
+        for target in standard_targets(32).unwrap() {
+            assert_sweep_matches_backtrace(
+                &target.name,
+                &target.netlist,
+                &target.outputs,
+                &paper_price,
+            );
+        }
+    }
+
+    #[test]
+    fn swept_endpoints_match_backtrace_on_generated_netlists() {
+        for seed in [1, 7, 42, 1009] {
+            let mut config = GeneratorConfig::new(3000, seed);
+            config.dff_fraction = 0.15;
+            let c = generate(&config).unwrap();
+            assert!(c.netlist.gates().iter().any(|g| g.kind == GateKind::Dff));
+            let name = format!("gen3000_s{seed}");
+            assert_sweep_matches_backtrace(&name, &c.netlist, &c.outputs, &paper_price);
+        }
+    }
+
+    /// A random netlist over `gates` gates: each gate reads earlier
+    /// nodes, about one in six is a flip-flop, and every third node is
+    /// declared an output.
+    fn random_netlist(seed: u64, gates: usize) -> (Netlist, Vec<NodeId>) {
+        const KINDS: [GateKind; 6] = [
+            GateKind::Not,
+            GateKind::And2,
+            GateKind::Nor3,
+            GateKind::Xor2,
+            GateKind::Mux2,
+            GateKind::Dff,
+        ];
+        let mut state = seed | 1;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut n = Netlist::new();
+        let clk = n.input("clk");
+        let mut pool: Vec<NodeId> = (0..4).map(|i| n.input(format!("in{i}"))).collect();
+        for _ in 0..gates {
+            let kind = KINDS[next(KINDS.len())];
+            let out = if kind == GateKind::Dff {
+                let d = pool[next(pool.len())];
+                n.gate(kind, &[clk, d]).unwrap()
+            } else {
+                let ins: Vec<NodeId> = (0..kind.arity()).map(|_| pool[next(pool.len())]).collect();
+                n.gate(kind, &ins).unwrap()
+            };
+            pool.push(out);
+        }
+        let outputs = pool.iter().copied().step_by(3).collect();
+        (n, outputs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Small integer delays make equal arrivals common, so the
+        /// first-input tie rule is exercised on both sides.
+        #[test]
+        fn swept_endpoints_match_backtrace_on_random_dags(
+            seed in any::<u64>(),
+            gates in 1usize..120,
+            delay_seed in any::<u64>(),
+        ) {
+            let (n, outputs) = random_netlist(seed, gates);
+            let price = |gate: usize, _: usize| {
+                Ok(Seconds(((gate as u64 ^ delay_seed) % 3 + 1) as f64 * 1e-12))
+            };
+            assert_sweep_matches_backtrace("random", &n, &outputs, &price);
+        }
+    }
 
     /// `a -> not -> x -> not -> y` plus a direct `a -> not -> z` side
     /// branch; `y` is the deep output.

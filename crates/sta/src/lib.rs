@@ -14,9 +14,9 @@
 //!
 //! The result is a [`StaReport`]: the critical path as a named gate
 //! chain, per-node slack (`slack = required − arrival`), and per-endpoint
-//! summaries, renderable as text or hand-rolled JSON. Endpoint analysis
-//! parallelises through [`lowvolt_exec`] with input-ordered,
-//! thread-count-invariant output.
+//! summaries, renderable as text or hand-rolled JSON. The forward pass
+//! carries each node's worst-path depth and startpoint along with its
+//! arrival, so the whole analysis is two linear sweeps on one thread.
 //!
 //! Operating points with `V_DD ≤ V_T` are reported as **infeasible**
 //! (the devices never turn on): arrivals are infinite, the report flags
